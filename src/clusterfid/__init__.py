@@ -14,9 +14,6 @@ from .engine import (
     apply_unitary,
     embed,
     expectation,
-    kron,
-    partial_trace,
-    project_and_normalize,
     pure_state,
 )
 from .graphs import (
@@ -26,7 +23,6 @@ from .graphs import (
     cluster_state_projector_product,
     format_graph,
     parse_graph,
-    pauli_matrix,
     stabilizer,
 )
 from .channels import (

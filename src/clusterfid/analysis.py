@@ -2,15 +2,11 @@
 
 The analyses all consume the closed-form evaluator; the exhaustive branch
 oracle is available through ``method='oracle'`` on the sweep for
-cross-checking. Grid points evaluate independently and are mapped through
-an optional thread pool (size from the ``CLUSTERFID_THREADS`` environment
-variable) with ordered collection, so results never depend on scheduling.
+cross-checking.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -28,21 +24,6 @@ IMMUNITY_ATOL = 1e-9
 SLOPE_ATOL = 1e-6
 
 ChannelFamily = Callable[[float], KrausChannel]
-
-
-def _pool_size() -> int:
-    try:
-        return max(1, int(os.environ.get("CLUSTERFID_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _ordered_map(fn, items: Sequence):
-    size = _pool_size()
-    if size == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -137,7 +118,7 @@ def sweep_curve(
         return (p, evaluate(gate, assignment, registry).raw_value)
 
     channel_name = channel_family(0.0).name
-    return FidelityCurve(gate, channel_name, exposed, tuple(_ordered_map(point, grid)))
+    return FidelityCurve(gate, channel_name, exposed, tuple(point(p) for p in grid))
 
 
 def immunity_scan(

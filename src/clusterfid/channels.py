@@ -47,6 +47,8 @@ class KrausChannel:
         for op in ops:
             if op.shape != (2, 2):
                 raise ValueError(f"Kraus operators must be 2x2, got {op.shape}")
+            if not np.all(np.isfinite(op)):
+                raise ValueError("Kraus operators must have finite entries")
             op.flags.writeable = False
         acc = sum(op.conj().T @ op for op in ops)
         dev = np.max(np.abs(acc - _I2))
@@ -118,6 +120,12 @@ def channel_family(name: str) -> Callable[[float], KrausChannel]:
         ) from None
 
 
+def _cell(cell) -> complex:
+    if not (isinstance(cell, list) and len(cell) == 2):
+        raise ValueError(f"operator entry {cell!r} is not a [re, im] pair")
+    return complex(cell[0], cell[1])
+
+
 def load_channel_json(path: str) -> KrausChannel:
     """Load a user-defined channel from JSON.
 
@@ -128,13 +136,15 @@ def load_channel_json(path: str) -> KrausChannel:
     """
     with open(path) as fh:
         data = json.load(fh)
-    ops = []
-    for raw in data["operators"]:
-        arr = np.array(
-            [[complex(cell[0], cell[1]) for cell in row] for row in raw], dtype=complex
+    try:
+        ops = tuple(
+            np.array([[_cell(cell) for cell in row] for row in raw], dtype=complex)
+            for raw in data["operators"]
         )
-        ops.append(arr)
-    return KrausChannel(str(data.get("name", "custom")), float(data.get("error_rate", 0.0)), tuple(ops))
+        name, rate = str(data.get("name", "custom")), float(data.get("error_rate", 0.0))
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed channel file {path}: {exc}") from None
+    return KrausChannel(name, rate, ops)
 
 
 def parse_channel_spec(spec: str) -> KrausChannel:

@@ -16,6 +16,7 @@ in ``#`` comment headers.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -32,6 +33,9 @@ EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
+#: Largest number of points a ``--grid`` may hold.
+MAX_GRID_POINTS = 10_000
+
 
 def _parse_grid(spec: str) -> list:
     """Parse ``start:stop:step``, endpoints inclusive within step/2."""
@@ -40,10 +44,15 @@ def _parse_grid(spec: str) -> list:
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError:
         raise ValueError(f"bad grid spec {spec!r}; expected start:stop:step") from None
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValueError("grid start, stop and step must be finite")
     if step <= 0:
         raise ValueError("grid step must be positive")
     if stop < start:
         raise ValueError("grid stop must not precede start")
+    # the loop below yields floor((stop - start) / step + 1/2) + 1 points
+    if (stop - start) / step + 0.5 >= MAX_GRID_POINTS:
+        raise ValueError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
     grid = []
     k = 0
     while True:
@@ -56,7 +65,11 @@ def _parse_grid(spec: str) -> list:
 
 
 def _parse_qubits(spec: str) -> list:
-    return [tok.strip() for tok in spec.split(",") if tok.strip()]
+    labels = [tok.strip() for tok in spec.split(",") if tok.strip()]
+    for i, lab in enumerate(labels):
+        if lab in labels[:i]:
+            raise ValueError(f"qubit {lab!r} listed twice")
+    return labels
 
 
 def _gate_from_args(args) -> GateKind:

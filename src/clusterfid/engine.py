@@ -6,9 +6,6 @@ throughout the package: for two qubits, ``embed(X, [0], 2)`` is ``X (x) I``
 and ``embed(X, [1], 2)`` is ``I (x) X``. The engine is deliberately dense;
 the patterns analysed with it never exceed a handful of qubits, and
 damping channels are non-Clifford, so a stabilizer tableau would not help.
-
-All values are immutable after construction and every function is pure,
-so results can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -102,14 +99,6 @@ def pure_state(vector: np.ndarray) -> DensityMatrix:
     return DensityMatrix(n, np.outer(v, v.conj()))
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the engine capacity check."""
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    _check_capacity(a.shape[0] * b.shape[0])
-    return np.kron(a, b)
-
-
 def embed(op: np.ndarray, targets: list[int], num_qubits: int) -> np.ndarray:
     """Lift ``op`` (acting on ``targets``, in that order) to the full register.
 
@@ -179,27 +168,6 @@ def expectation(rho: DensityMatrix, m: np.ndarray) -> complex:
     return complex(np.sum(rho.mat * m.T))
 
 
-def project_and_normalize(
-    rho: DensityMatrix, projector: np.ndarray
-) -> tuple[float, DensityMatrix | None]:
-    """Apply a projective-measurement branch.
-
-    Returns ``(probability, post_state)``. When the branch probability falls
-    at or below ``BRANCH_EPS`` the post state is undefined (0/0) and ``None``
-    is returned; callers skip such branches.
-    """
-    p = _as_matrix(projector)
-    if p.shape[0] != rho.dim:
-        raise ValueError(f"projector dim {p.shape[0]} != state dim {rho.dim}")
-    if np.max(np.abs(p - p.conj().T)) > ATOL_OP or np.max(np.abs(p @ p - p)) > ATOL_OP:
-        raise ValueError("projector must be Hermitian and idempotent")
-    unnorm = p @ rho.mat @ p
-    prob = float(np.trace(unnorm).real)
-    if prob <= BRANCH_EPS:
-        return max(prob, 0.0), None
-    return prob, DensityMatrix(rho.num_qubits, unnorm / prob)
-
-
 def partial_trace_raw(mat: np.ndarray, keep_sorted: list[int], num_qubits: int) -> np.ndarray:
     """Partial trace on a bare matrix; ``keep_sorted`` must be sorted and valid.
 
@@ -213,14 +181,3 @@ def partial_trace_raw(mat: np.ndarray, keep_sorted: list[int], num_qubits: int) 
         cur -= 1
     d = 2 ** len(keep_sorted)
     return t.reshape(d, d)
-
-
-def partial_trace(rho: DensityMatrix, keep: set[int] | list[int]) -> DensityMatrix:
-    """Reduced state on ``keep``, ordered by ascending original index."""
-    keep_sorted = sorted(set(keep))
-    if not keep_sorted:
-        raise ValueError("keep set must be nonempty")
-    if keep_sorted[0] < 0 or keep_sorted[-1] >= rho.num_qubits:
-        raise ValueError(f"keep set {keep_sorted} out of range")
-    reduced = partial_trace_raw(rho.mat, keep_sorted, rho.num_qubits)
-    return DensityMatrix(len(keep_sorted), reduced)

@@ -13,7 +13,6 @@ The two must agree; ``cross_validate`` reports the worst difference.
 from __future__ import annotations
 
 import itertools
-import threading
 import weakref
 from dataclasses import dataclass
 
@@ -47,11 +46,11 @@ class FidelityResult:
     assignment: str          # human-readable summary of the noise assignment
     value: float             # clipped to [0, 1] for reporting
     method: str              # 'formula' | 'oracle'
-    raw_value: float = None  # unclipped, for tolerance checks
+    raw_value: float | None = None  # unclipped, for tolerance checks
 
     def __post_init__(self):
         raw = self.value if self.raw_value is None else self.raw_value
-        if raw < -1e-9 or raw > 1 + 1e-9:
+        if not (-1e-9 <= raw <= 1 + 1e-9):
             raise ValueError(f"fidelity {raw} outside [-1e-9, 1+1e-9]")
         object.__setattr__(self, "raw_value", float(raw))
         object.__setattr__(self, "value", float(min(max(raw, 0.0), 1.0)))
@@ -105,31 +104,21 @@ def fidelity_formula(
 class _Branch:
     """One measurement outcome vector, precomputed for a (gate, theta) pair."""
 
-    outcomes: dict            # measured label -> bit
     projectors: tuple         # ((qubit index, 2x2 projector), ...), in order
     correction: np.ndarray    # byproduct unitary on the kept register
-    ideal_prob: float
     ideal_state: np.ndarray   # corrected reduced noiseless branch (normalized)
 
 
-class _BranchCache:
-    def __init__(self):
-        self._per_registry = weakref.WeakKeyDictionary()
-        self._lock = threading.Lock()
-
-    def get(self, registry: PatternRegistry, gate: GateKind) -> tuple:
-        key = (gate.kind, gate.theta)
-        with self._lock:
-            table = self._per_registry.setdefault(registry, {})
-            hit = table.get(key)
-        if hit is not None:
-            return hit
-        built = _enumerate_branches(registry, gate)
-        with self._lock:
-            return table.setdefault(key, built)
+#: Branch tables per registry, keyed by (gate kind, theta); dropped with the registry.
+_branch_tables = weakref.WeakKeyDictionary()
 
 
-_branches = _BranchCache()
+def _branches(registry: PatternRegistry, gate: GateKind) -> tuple:
+    table = _branch_tables.setdefault(registry, {})
+    key = (gate.kind, gate.theta)
+    if key not in table:
+        table[key] = _enumerate_branches(registry, gate)
+    return table[key]
 
 
 def _branch_projectors(
@@ -185,10 +174,10 @@ def _enumerate_branches(registry: PatternRegistry, gate: GateKind) -> tuple:
         if prob <= BRANCH_EPS:
             # cannot happen for graph states (every branch has weight 2^-k),
             # but keep the contract: such a branch carries no ideal state.
-            branches.append(_Branch(outcomes, projs, corr, 0.0, None))
+            branches.append(_Branch(projs, corr, None))
             continue
         ideal = corr @ (reduced / prob) @ corr.conj().T
-        branches.append(_Branch(outcomes, projs, corr, prob, ideal))
+        branches.append(_Branch(projs, corr, ideal))
     return tuple(branches)
 
 
@@ -213,7 +202,7 @@ def mbqc_oracle(
     total = 0.0
     probs = []
     n = noisy.num_qubits
-    for branch in _branches.get(registry, gate):
+    for branch in _branches(registry, gate):
         reduced = partial_trace_raw(
             _project_branch(noisy.mat, branch.projectors, n), kept, n
         )

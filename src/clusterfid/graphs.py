@@ -159,10 +159,6 @@ class PauliString:
         return f"{sign}{body or 'I'}"
 
 
-def pauli_matrix(p: PauliString) -> np.ndarray:
-    return p.matrix()
-
-
 def stabilizer(g: Graph, i: int) -> PauliString:
     """Cluster stabilizer of vertex i: X on i, Z on every neighbor."""
     if not (0 <= i < g.num_vertices):

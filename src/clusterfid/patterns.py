@@ -27,8 +27,8 @@ suite hold the registry to that via the independent branch oracle.
 
 from __future__ import annotations
 
+import functools
 import re
-import threading
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -204,7 +204,6 @@ class PatternRegistry:
         self._patterns = dict(patterns)
         self._witness_cache: dict = {}
         self._cluster_cache: dict = {}
-        self._lock = threading.Lock()
 
     def pattern_for(self, gate: GateKind) -> MeasurementPattern:
         return self._patterns[gate.kind]
@@ -212,25 +211,15 @@ class PatternRegistry:
     def cluster_state(self, gate: GateKind) -> DensityMatrix:
         """The (cached) pristine cluster state of the gate's graph."""
         key = gate.kind
-        with self._lock:
-            hit = self._cluster_cache.get(key)
-        if hit is not None:
-            return hit
-        state = build_cluster_state(self.pattern_for(gate).graph)
-        with self._lock:
-            self._cluster_cache[key] = state
-        return state
+        if key not in self._cluster_cache:
+            self._cluster_cache[key] = build_cluster_state(self.pattern_for(gate).graph)
+        return self._cluster_cache[key]
 
     def witness_for(self, gate: GateKind) -> FidelityWitness:
         key = (gate.kind, gate.theta)
-        with self._lock:
-            hit = self._witness_cache.get(key)
-        if hit is not None:
-            return hit
-        built = self._build_witness(gate)
-        with self._lock:
-            self._witness_cache.setdefault(key, built)
-            return self._witness_cache[key]
+        if key not in self._witness_cache:
+            self._witness_cache[key] = self._build_witness(gate)
+        return self._witness_cache[key]
 
     def witness_support_partition(self, gate: GateKind) -> dict:
         """Group qubit labels by the set of witness factors touching them.
@@ -417,16 +406,9 @@ def load_registry(path: str | None = None) -> PatternRegistry:
     return parse_registry_text(text)
 
 
-_default_registry: PatternRegistry | None = None
-_default_lock = threading.Lock()
-
-
+@functools.cache
 def default_registry() -> PatternRegistry:
-    global _default_registry
-    with _default_lock:
-        if _default_registry is None:
-            _default_registry = load_registry()
-        return _default_registry
+    return load_registry()
 
 
 def witness_expectation_noiseless(registry: PatternRegistry, gate: GateKind) -> float:

@@ -62,12 +62,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_curve(IDENTITY, dephasing, ["1"], [0.0, 1.5], registry)
 
-    def test_thread_pool_matches_serial(self, registry, monkeypatch):
-        serial = sweep_curve(IDENTITY, dephasing, ["1"], registry=registry)
-        monkeypatch.setenv("CLUSTERFID_THREADS", "4")
-        threaded = sweep_curve(IDENTITY, dephasing, ["1"], registry=registry)
-        assert serial.points == threaded.points
-
 
 class TestImmunity:
     def test_identity_immune_set(self, registry):

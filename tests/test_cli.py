@@ -1,9 +1,16 @@
 import json
+import time
+from pathlib import Path
 
 import pytest
 
-from clusterfid.cli import main
+from clusterfid.cli import MAX_GRID_POINTS, _parse_grid, main
 from clusterfid.patterns import CONTROLLED_Z
+
+#: Exit code, stdout and ``-o`` file of every README command, as the benchmark records them.
+RECORDED = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "reference.json").read_text()
+)["cli"]
 
 
 def run(argv, capsys):
@@ -231,3 +238,61 @@ class TestValidate:
             capsys,
         )
         assert code == 3 and "capacity" in err
+
+
+class TestHostileInputs:
+    """Each refused input exits 2 at once, with nothing on stdout."""
+
+    def refused(self, argv, capsys):
+        start = time.perf_counter()
+        code, out, err = run(argv, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == "" and err.startswith("error:")
+        return err
+
+    @pytest.mark.parametrize("grid", ["0:0.5:nan", "0:inf:0.1", "0:1:1e-12"])
+    def test_hostile_grid(self, grid, capsys):
+        for argv in (
+            ["curve", "--gate", "identity", "--channel", "dephasing", "--qubit", "1"],
+            ["compare", "--gate", "hadamard", "--channel", "dephasing",
+             "--protectA", "1", "--protectB", "2"],
+        ):
+            assert "grid" in self.refused(argv + ["--grid", grid], capsys)
+
+    def test_grid_point_cap(self):
+        assert len(_parse_grid("0:0.9999:0.0001")) == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="points"):
+            _parse_grid("0:1:0.0001")
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--gate", "identity", "--channel", "bitflip(0.3)", "--qubit", "1,1"],
+        ["curve", "--gate", "identity", "--channel", "bitflip", "--qubit", "2,2"],
+    ])
+    def test_duplicate_qubit(self, argv, capsys):
+        assert "twice" in self.refused(argv, capsys)
+
+    @pytest.mark.parametrize("operators", [
+        [[[1, [0, 0]], [[0, 0], [1, 0]]]],
+        [[[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]],
+    ])
+    def test_malformed_json_channel(self, operators, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "bad", "operators": operators}))
+        self.refused(
+            ["eval", "--gate", "identity", "--channel", str(path), "--qubit", "1",
+             "--method", "both"],
+            capsys,
+        )
+
+
+@pytest.mark.parametrize("command", sorted(RECORDED))
+def test_readme_commands_match_recorded_output(command, capsys, tmp_path):
+    """Every README command prints the bytes recorded in the benchmark reference."""
+    recorded = RECORDED[command]
+    argv = command.format(tmp=tmp_path).split()
+    code, out, _ = run(argv, capsys)
+    assert code == recorded["code"]
+    assert out == recorded["stdout"]
+    if recorded["file"] is not None:
+        written = Path(argv[argv.index("-o") + 1]).read_bytes()
+        assert written == recorded["file"].encode()
