@@ -141,7 +141,7 @@ def load_channel_json(path: str) -> KrausChannel:
             np.array([[_cell(cell) for cell in row] for row in raw], dtype=complex)
             for raw in data["operators"]
         )
-        name, rate = str(data.get("name", "custom")), float(data.get("error_rate", 0.0))
+        name, rate = str(data.get("name", "custom")), _check_rate(data.get("error_rate", 0.0))
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"malformed channel file {path}: {exc}") from None
     return KrausChannel(name, rate, ops)

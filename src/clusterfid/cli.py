@@ -72,6 +72,14 @@ def _parse_qubits(spec: str) -> list:
     return labels
 
 
+def _exposed_qubits(spec: str) -> list:
+    """The ``--qubit`` labels; unlike a protected set, they may not be empty."""
+    qubits = _parse_qubits(spec)
+    if not qubits:
+        raise ValueError("--qubit must name at least one qubit")
+    return qubits
+
+
 def _gate_from_args(args) -> GateKind:
     return parse_gate(args.gate, getattr(args, "theta", 0.0))
 
@@ -96,9 +104,7 @@ def cmd_curve(args) -> int:
     gate = _gate_from_args(args)
     family = channel_family(args.channel)
     grid = _parse_grid(args.grid)
-    qubits = _parse_qubits(args.qubit)
-    if not qubits:
-        raise ValueError("--qubit must name at least one qubit")
+    qubits = _exposed_qubits(args.qubit)
 
     methods = ["formula", "oracle"] if args.method == "both" else [args.method]
     per_qubit = {}
@@ -190,7 +196,7 @@ def cmd_eval(args) -> int:
     registry = load_registry(args.registry)
     gate = _gate_from_args(args)
     channel = parse_channel_spec(args.channel)
-    assignment = {q: channel for q in _parse_qubits(args.qubit)}
+    assignment = {q: channel for q in _exposed_qubits(args.qubit)}
     results = []
     if args.method in ("formula", "both"):
         results.append(fidelity_formula(gate, assignment, registry))

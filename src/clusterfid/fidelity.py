@@ -2,17 +2,17 @@
 
 ``fidelity_formula`` evaluates the closed-form witness expectation on the
 noisy cluster state. ``mbqc_oracle`` knows nothing about witnesses: it
-enumerates every measurement branch of the pattern (respecting the
-measurement order and the outcome-adapted basis), projects the noisy state
-branch by branch, applies the byproduct corrections, reduces to the kept
-qubits, and compares against the same branch of the noiseless run,
+walks the tree of measurement outcomes depth first in measurement order,
+projecting the noisy state once per outcome prefix (the outcome-adapted
+basis reads its control outcome off the path), reduces each branch to the
+kept qubits, applies the byproduct corrections, and compares against the
+same branch of the noiseless run, which the same walk produces,
 averaging Tr(sigma_m sigma_m_ideal) under the noisy branch probabilities.
 The two must agree; ``cross_validate`` reports the worst difference.
 """
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass
 
@@ -21,6 +21,7 @@ import numpy as np
 from .engine import (
     BRANCH_EPS,
     CapacityError,
+    DensityMatrix,
     conjugate_on_qubit,
     embed,
     expectation,
@@ -100,45 +101,44 @@ def fidelity_formula(
 # -- branch oracle -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Branch:
-    """One measurement outcome vector, precomputed for a (gate, theta) pair."""
-
-    projectors: tuple         # ((qubit index, 2x2 projector), ...), in order
-    correction: np.ndarray    # byproduct unitary on the kept register
-    ideal_state: np.ndarray   # corrected reduced noiseless branch (normalized)
-
-
 #: Branch tables per registry, keyed by (gate kind, theta); dropped with the registry.
 _branch_tables = weakref.WeakKeyDictionary()
 
 
-def _branches(registry: PatternRegistry, gate: GateKind) -> tuple:
-    table = _branch_tables.setdefault(registry, {})
-    key = (gate.kind, gate.theta)
-    if key not in table:
-        table[key] = _enumerate_branches(registry, gate)
-    return table[key]
+def _walk_branches(pattern: MeasurementPattern, theta: float, rho: DensityMatrix):
+    """Yield ``(outcomes, reduced branch)`` for every outcome vector of the pattern.
 
-
-def _branch_projectors(
-    pattern: MeasurementPattern, theta: float, outcomes: dict
-) -> tuple:
+    Walks ``measure_order`` depth first, so the vectors come in
+    ``itertools.product`` order and each prefix of outcomes is projected
+    once, for every branch that extends it. The reduced branch is the
+    unnormalized state of the kept qubits.
+    """
+    order = pattern.measure_order
+    if len(order) > MAX_BRANCH_QUBITS:
+        raise CapacityError(
+            f"{len(order)} measured qubits exceed the {MAX_BRANCH_QUBITS}-qubit "
+            "branch-enumeration limit"
+        )
+    kept = sorted(pattern.to_index(lab) for lab in pattern.kept_labels)
+    n = rho.num_qubits
     eye2 = np.eye(2, dtype=complex)
-    projs = []
-    for label in pattern.measure_order:
+
+    def walk(mat, outcomes):
+        if len(outcomes) == len(order):
+            reduced = partial_trace_raw(mat, kept, n)
+            del mat  # hold no full-size leaf while the caller uses the branch
+            yield outcomes, reduced
+            return
+        label = order[len(outcomes)]
         basis = pattern.bases[label]
         ctrl_bit = outcomes[basis.control] if basis.axis == "adaptive" else None
         op = basis.operator(theta, ctrl_bit)
-        sign = (-1) ** outcomes[label]
-        projs.append((pattern.to_index(label), (eye2 + sign * op) / 2.0))
-    return tuple(projs)
+        qubit = pattern.to_index(label)
+        for bit in (0, 1):
+            proj = (eye2 + (-1) ** bit * op) / 2.0
+            yield from walk(conjugate_on_qubit(mat, proj, qubit, n), {**outcomes, label: bit})
 
-
-def _project_branch(mat: np.ndarray, projectors: tuple, num_qubits: int) -> np.ndarray:
-    for qubit, proj in projectors:
-        mat = conjugate_on_qubit(mat, proj, qubit, num_qubits)
-    return mat
+    yield from walk(rho.mat, {})
 
 
 def _branch_correction(pattern: MeasurementPattern, outcomes: dict) -> np.ndarray:
@@ -153,32 +153,23 @@ def _branch_correction(pattern: MeasurementPattern, outcomes: dict) -> np.ndarra
     return corr
 
 
-def _enumerate_branches(registry: PatternRegistry, gate: GateKind) -> tuple:
-    pattern = registry.pattern_for(gate)
-    order = pattern.measure_order
-    if len(order) > MAX_BRANCH_QUBITS:
-        raise CapacityError(
-            f"{len(order)} measured qubits exceed the {MAX_BRANCH_QUBITS}-qubit "
-            "branch-enumeration limit"
-        )
-    kept = sorted(pattern.to_index(lab) for lab in pattern.kept_labels)
-    clean = registry.cluster_state(gate)
-    n = clean.num_qubits
-    branches = []
-    for bits in itertools.product((0, 1), repeat=len(order)):
-        outcomes = dict(zip(order, bits))
-        projs = _branch_projectors(pattern, gate.theta, outcomes)
-        corr = _branch_correction(pattern, outcomes)
-        reduced = partial_trace_raw(_project_branch(clean.mat, projs, n), kept, n)
-        prob = float(np.trace(reduced).real)
-        if prob <= BRANCH_EPS:
-            # cannot happen for graph states (every branch has weight 2^-k),
-            # but keep the contract: such a branch carries no ideal state.
-            branches.append(_Branch(projs, corr, None))
-            continue
-        ideal = corr @ (reduced / prob) @ corr.conj().T
-        branches.append(_Branch(projs, corr, ideal))
-    return tuple(branches)
+def _branches(registry: PatternRegistry, gate: GateKind) -> tuple:
+    """``(correction, corrected ideal branch state)`` per outcome vector, walk order."""
+    table = _branch_tables.setdefault(registry, {})
+    key = (gate.kind, gate.theta)
+    if key not in table:
+        pattern = registry.pattern_for(gate)
+        clean = registry.cluster_state(gate)
+        rows = []
+        for outcomes, reduced in _walk_branches(pattern, gate.theta, clean):
+            corr = _branch_correction(pattern, outcomes)
+            prob = float(np.trace(reduced).real)
+            # prob <= BRANCH_EPS cannot happen for graph states (every branch
+            # has weight 2^-k), but keep the contract: no ideal state then.
+            ideal = corr @ (reduced / prob) @ corr.conj().T if prob > BRANCH_EPS else None
+            rows.append((corr, ideal))
+        table[key] = tuple(rows)
+    return table[key]
 
 
 def mbqc_oracle(
@@ -198,21 +189,19 @@ def mbqc_oracle(
     noisy = apply_assignment(
         registry.cluster_state(gate), resolve_assignment(pattern, assignment)
     )
-    kept = sorted(pattern.to_index(lab) for lab in pattern.kept_labels)
     total = 0.0
     probs = []
-    n = noisy.num_qubits
-    for branch in _branches(registry, gate):
-        reduced = partial_trace_raw(
-            _project_branch(noisy.mat, branch.projectors, n), kept, n
-        )
+    branches = zip(
+        _walk_branches(pattern, gate.theta, noisy), _branches(registry, gate), strict=True
+    )
+    for (_, reduced), (corr, ideal) in branches:
         prob = float(np.trace(reduced).real)
         if prob <= BRANCH_EPS:
             continue
         probs.append(prob)
-        corrected = branch.correction @ reduced @ branch.correction.conj().T
+        corrected = corr @ reduced @ corr.conj().T
         # prob * Tr(sigma_m sigma_m_ideal) with sigma_m = corrected / prob
-        total += float(np.trace(corrected @ branch.ideal_state).real)
+        total += float(np.trace(corrected @ ideal).real)
     result = FidelityResult(
         gate, describe_assignment(pattern, assignment), total, "oracle"
     )

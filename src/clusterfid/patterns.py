@@ -156,6 +156,8 @@ class MeasurementPattern:
             if lab not in self.bases:
                 raise ValueError(f"{self.name}: no basis for measured qubit {lab}")
         for lab, basis in self.bases.items():
+            if lab not in measured:
+                raise ValueError(f"{self.name}: basis given for unmeasured qubit {lab}")
             if basis.axis == "adaptive":
                 if basis.control not in measured:
                     raise ValueError(f"{self.name}: adaptive control {basis.control} not measured")
@@ -164,6 +166,8 @@ class MeasurementPattern:
                         f"{self.name}: adaptive control {basis.control} must precede {lab}"
                     )
         for rule in self.byproducts:
+            if rule.target not in self.labels:
+                raise ValueError(f"{self.name}: byproduct targets unknown qubit {rule.target}")
             if rule.target in measured:
                 raise ValueError(f"{self.name}: byproduct targets measured qubit {rule.target}")
             for src in rule.sources:

@@ -271,6 +271,13 @@ class TestHostileInputs:
     def test_duplicate_qubit(self, argv, capsys):
         assert "twice" in self.refused(argv, capsys)
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--gate", "identity", "--channel", "bitflip(0.3)", "--qubit", ","],
+        ["curve", "--gate", "identity", "--channel", "bitflip", "--qubit", ","],
+    ])
+    def test_empty_qubit(self, argv, capsys):
+        assert "at least one qubit" in self.refused(argv, capsys)
+
     @pytest.mark.parametrize("operators", [
         [[[1, [0, 0]], [[0, 0], [1, 0]]]],
         [[[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]],
@@ -283,6 +290,29 @@ class TestHostileInputs:
              "--method", "both"],
             capsys,
         )
+
+    @pytest.mark.parametrize("rate", [float("nan"), -5, 2])
+    def test_json_channel_error_rate_outside_unit_interval(self, rate, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        identity = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+        path.write_text(json.dumps({"name": "x", "error_rate": rate, "operators": [identity]}))
+        err = self.refused(
+            ["eval", "--gate", "identity", "--channel", str(path), "--qubit", "1"], capsys
+        )
+        assert "error rate" in err
+
+    def test_byproduct_on_unknown_label(self, capsys, tmp_path):
+        from importlib import resources
+
+        text = resources.files("clusterfid").joinpath("data/patterns.txt").read_text()
+        bad = tmp_path / "registry.txt"
+        bad.write_text(text.replace("byproduct s2+s4 X 5", "byproduct s2+s4 X 9", 1))
+        err = self.refused(
+            ["--registry", str(bad), "eval", "--gate", "identity",
+             "--channel", "bitflip(0.3)", "--qubit", "1"],
+            capsys,
+        )
+        assert "unknown qubit 9" in err
 
 
 @pytest.mark.parametrize("command", sorted(RECORDED))

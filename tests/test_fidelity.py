@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clusterfid import fidelity
 from clusterfid.channels import (
     BUILTIN_CHANNELS,
+    KrausChannel,
     amplitude_damping,
     bit_flip,
     dephasing,
@@ -13,7 +19,7 @@ from clusterfid.fidelity import (
     fidelity_formula,
     mbqc_oracle,
 )
-from clusterfid.patterns import CONTROLLED_Z, HADAMARD, IDENTITY, z_rotation
+from clusterfid.patterns import CONTROLLED_Z, HADAMARD, IDENTITY, default_registry, z_rotation
 
 ALL_GATES = [IDENTITY, HADAMARD, z_rotation(0.7853981633974483), CONTROLLED_Z]
 
@@ -81,6 +87,27 @@ class TestOracle:
         ref = fidelity_formula(IDENTITY, {"0": amplitude_damping(1.0)}, registry)
         assert abs(res.raw_value - ref.raw_value) <= 1e-9
 
+    @pytest.mark.parametrize("gate, projections", [
+        (IDENTITY, 62), (HADAMARD, 62), (z_rotation(1.1), 62), (CONTROLLED_Z, 30),
+    ])
+    def test_each_outcome_prefix_is_projected_once(
+        self, registry, gate, projections, monkeypatch
+    ):
+        # k measured qubits: 2 + 4 + ... + 2^k = 2^(k+1) - 2 projections on a
+        # warm branch table, where one projection chain per branch took k * 2^k
+        mbqc_oracle(gate, {}, registry)
+        calls = []
+        project = fidelity.conjugate_on_qubit
+
+        def counting(*args):
+            calls.append(args[2])
+            return project(*args)
+
+        monkeypatch.setattr(fidelity, "conjugate_on_qubit", counting)
+        label = registry.pattern_for(gate).labels[1]
+        mbqc_oracle(gate, {label: dephasing(0.2)}, registry)
+        assert len(calls) == projections
+
     def test_agrees_with_formula_on_random_assignments(self, registry, rng):
         families = list(BUILTIN_CHANNELS.values())
         for trial in range(20):
@@ -141,3 +168,37 @@ class TestProperties:
             }
             res = fidelity_formula(gate, assignment, registry)
             assert -1e-9 <= res.raw_value <= 1 + 1e-9
+
+
+def _random_channel(entries) -> KrausChannel:
+    """A CPTP map from the QR of a 4x2 complex matrix: its isometry's two 2x2 blocks."""
+    g = np.array(entries[:8]).reshape(4, 2) + 1j * np.array(entries[8:]).reshape(4, 2)
+    q, _ = np.linalg.qr(g)
+    return KrausChannel("random", 0.0, (q[:2], q[2:]))
+
+
+@st.composite
+def _gates_and_assignments(draw):
+    gate = draw(
+        st.sampled_from([IDENTITY, HADAMARD, CONTROLLED_Z])
+        | st.floats(-math.pi, math.pi).map(z_rotation)
+    )
+    labels = default_registry().pattern_for(gate).labels
+    chosen = draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+    entry = st.floats(-1, 1, allow_nan=False)
+    return gate, {
+        lab: _random_channel(draw(st.lists(entry, min_size=16, max_size=16)))
+        for lab in chosen
+    }
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(_gates_and_assignments())
+def test_random_cptp_maps_formula_equals_oracle(case):
+    gate, assignment = case
+    registry = default_registry()
+    formula = fidelity_formula(gate, assignment, registry).raw_value
+    oracle, probs = mbqc_oracle(gate, assignment, registry, return_branch_probabilities=True)
+    assert abs(formula - oracle.raw_value) <= 1e-9
+    assert -1e-9 <= oracle.raw_value <= 1 + 1e-9
+    assert abs(sum(probs) - 1.0) <= 1e-10

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -216,3 +218,13 @@ byproduct s3+s6 Z 5
         text = self.MINIMAL.replace("byproduct s0 Z 1", "byproduct s0 Z 2")
         with pytest.raises(ValueError, match="byproduct"):
             parse_registry_text(text)
+
+    @pytest.mark.parametrize("line, changed, message", [
+        ("byproduct s2+s4 X 5", "byproduct s2+s4 X 9", "byproduct targets unknown qubit 9"),
+        ("byproduct s0 Z 1", "basis 1 X", "basis given for unmeasured qubit 1"),
+    ])
+    def test_bundled_registry_with_one_bad_line_rejected(self, line, changed, message):
+        text = resources.files("clusterfid").joinpath("data/patterns.txt").read_text()
+        assert line in text
+        with pytest.raises(ValueError, match=message):
+            parse_registry_text(text.replace(line, changed, 1))
