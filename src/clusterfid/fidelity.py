@@ -112,20 +112,31 @@ def _walk_branches(pattern: MeasurementPattern, theta: float, rho: DensityMatrix
     ``itertools.product`` order and each prefix of outcomes is projected
     once, for every branch that extends it. The reduced branch is the
     unnormalized state of the kept qubits.
+
+    The walk runs on a copy of the state whose qubit axes are permuted so
+    the measured qubits lead, in descending index, followed by the kept
+    qubits in ascending order: ``conjugate_on_qubit`` is cheapest on the
+    leading axes, and tracing out the leading axes lowest first takes the
+    measured qubits highest index first. The permutation only moves
+    entries, so every branch is bitwise the one the original layout gives.
     """
     order = pattern.measure_order
-    if len(order) > MAX_BRANCH_QUBITS:
+    k = len(order)
+    if k > MAX_BRANCH_QUBITS:
         raise CapacityError(
-            f"{len(order)} measured qubits exceed the {MAX_BRANCH_QUBITS}-qubit "
+            f"{k} measured qubits exceed the {MAX_BRANCH_QUBITS}-qubit "
             "branch-enumeration limit"
         )
+    measured = sorted((pattern.to_index(lab) for lab in order), reverse=True)
     kept = sorted(pattern.to_index(lab) for lab in pattern.kept_labels)
+    layout = measured + kept  # axis i of the walked copy holds qubit layout[i]
+    axis_of = {label: measured.index(pattern.to_index(label)) for label in order}
     n = rho.num_qubits
     eye2 = np.eye(2, dtype=complex)
 
     def walk(mat, outcomes):
-        if len(outcomes) == len(order):
-            reduced = partial_trace_raw(mat, kept, n)
+        if len(outcomes) == k:
+            reduced = partial_trace_raw(mat, range(k, n), n)
             del mat  # hold no full-size leaf while the caller uses the branch
             yield outcomes, reduced
             return
@@ -133,12 +144,14 @@ def _walk_branches(pattern: MeasurementPattern, theta: float, rho: DensityMatrix
         basis = pattern.bases[label]
         ctrl_bit = outcomes[basis.control] if basis.axis == "adaptive" else None
         op = basis.operator(theta, ctrl_bit)
-        qubit = pattern.to_index(label)
         for bit in (0, 1):
             proj = (eye2 + (-1) ** bit * op) / 2.0
-            yield from walk(conjugate_on_qubit(mat, proj, qubit, n), {**outcomes, label: bit})
+            yield from walk(
+                conjugate_on_qubit(mat, proj, axis_of[label], n), {**outcomes, label: bit}
+            )
 
-    yield from walk(rho.mat, {})
+    t = rho.mat.reshape((2,) * (2 * n)).transpose(layout + [n + q for q in layout])
+    yield from walk(np.ascontiguousarray(t).reshape(rho.dim, rho.dim), {})
 
 
 def _branch_correction(pattern: MeasurementPattern, outcomes: dict) -> np.ndarray:

@@ -314,34 +314,64 @@ class PatternRegistry:
 
 _ADAPTIVE_RE = re.compile(r"^adaptive\(\s*theta\s*,\s*([^)\s]+)\s*\)$")
 
+#: Argument count of the keywords that take a fixed number of arguments.
+_ARITY = {"n": 1, "e": 2, "label": 2, "basis": 2, "byproduct": 3}
+
+#: Keywords that may not repeat (``basis`` and ``label`` per qubit).
+_ONCE = ("n", "inputs", "outputs", "order", "basis", "label")
+
+
+def _int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"line {lineno}: expected an integer, got {token!r}") from None
+
 
 def _parse_section(name: str, lines: list) -> MeasurementPattern:
     num = None
     edges = []
     labels: dict = {}
+    label_lines: dict = {}   # vertex index -> line of its label
     inputs: tuple = ()
     outputs: tuple = ()
     order: tuple = ()
     bases: dict = {}
     byproducts: list = []
+    seen: set = set()
 
     for lineno, line in lines:
-        parts = line.split()
-        kw = parts[0]
+        kw, *args = line.split()
+        if kw in _ARITY and len(args) != _ARITY[kw]:
+            raise ValueError(
+                f"line {lineno}: {kw!r} takes {_ARITY[kw]} argument(s), got {len(args)}"
+            )
+        if kw in _ONCE:
+            # basis and label come once per qubit, the others once per section
+            key = kw
+            if kw == "basis":
+                key = f"basis {args[0]}"
+            elif kw == "label":
+                key = f"label {_int(args[0], lineno)}"
+            if key in seen:
+                raise ValueError(f"line {lineno}: repeated {key!r} line")
+            seen.add(key)
         if kw == "n":
-            num = int(parts[1])
+            num = _int(args[0], lineno)
         elif kw == "e":
-            edges.append((int(parts[1]), int(parts[2])))
+            edges.append((_int(args[0], lineno), _int(args[1], lineno)))
         elif kw == "label":
-            labels[int(parts[1])] = parts[2]
+            index = _int(args[0], lineno)
+            labels[index] = args[1]
+            label_lines[index] = lineno
         elif kw == "inputs":
-            inputs = tuple(parts[1:])
+            inputs = tuple(args)
         elif kw == "outputs":
-            outputs = tuple(parts[1:])
+            outputs = tuple(args)
         elif kw == "order":
-            order = tuple(parts[1:])
+            order = tuple(args)
         elif kw == "basis":
-            lab, spec = parts[1], parts[2]
+            lab, spec = args
             m = _ADAPTIVE_RE.match(spec)
             if m:
                 bases[lab] = BasisSpec("adaptive", m.group(1))
@@ -350,7 +380,7 @@ def _parse_section(name: str, lines: list) -> MeasurementPattern:
             else:
                 raise ValueError(f"line {lineno}: bad basis spec {spec!r}")
         elif kw == "byproduct":
-            expr, pauli, target = parts[1], parts[2], parts[3]
+            expr, pauli, target = args
             if pauli not in ("X", "Z"):
                 raise ValueError(f"line {lineno}: byproduct pauli must be X or Z")
             sources = []
@@ -364,6 +394,9 @@ def _parse_section(name: str, lines: list) -> MeasurementPattern:
 
     if num is None:
         raise ValueError(f"section [{name}] has no 'n' line")
+    for index, lineno in label_lines.items():
+        if not 0 <= index < num:
+            raise ValueError(f"line {lineno}: label index {index} outside 0..{num - 1}")
     graph = Graph.from_edges(num, edges)
     label_tuple = tuple(labels.get(i, str(i)) for i in range(num))
     if len(set(label_tuple)) != num:

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from pathlib import Path
 
@@ -313,6 +314,35 @@ class TestHostileInputs:
             capsys,
         )
         assert "unknown qubit 9" in err
+
+    @pytest.mark.parametrize("line, changed, message", [
+        ("e 0 1\n", "e 0\n", "'e' takes 2 argument(s), got 1"),
+        ("n 7\n", "n\n", "'n' takes 1 argument(s), got 0"),
+        ("e 0 1\n", "e 0 1 7\n", "'e' takes 2 argument(s), got 3"),
+        ("label 0 a_in\n", "label 9 a_in\n", "label index 9 outside 0..7"),
+        ("label 0 a_in\n", "label -1 a_in\n", "label index -1 outside 0..7"),
+        ("n 7\n", "n 7\nn 7\n", "repeated 'n' line"),
+        ("inputs 1\n", "inputs 1\ninputs 1\n", "repeated 'inputs' line"),
+        ("outputs 5\n", "outputs 5\noutputs 4\n", "repeated 'outputs' line"),
+        ("order 0 2 3 4 6\n", "order 0 2 3 4 6\norder 6 4 3 2 0\n", "repeated 'order' line"),
+        ("basis 0 Z\n", "basis 0 Z\nbasis 0 X\n", "repeated 'basis 0' line"),
+        ("label 0 a_in\n", "label 0 a_in\nlabel 0 a\n", "repeated 'label 0' line"),
+        ("n 7\n", "n seven\n", "expected an integer, got 'seven'"),
+    ])
+    def test_malformed_registry_line(self, line, changed, message, capsys, tmp_path):
+        from importlib import resources
+
+        text = resources.files("clusterfid").joinpath("data/patterns.txt").read_text()
+        assert line in text
+        bad = tmp_path / "registry.txt"
+        bad.write_text(text.replace(line, changed, 1))
+        err = self.refused(
+            ["--registry", str(bad), "eval", "--gate", "identity",
+             "--channel", "bitflip(0.3)", "--qubit", "1"],
+            capsys,
+        )
+        assert re.match(r"error: line \d+: ", err)
+        assert message in err
 
 
 @pytest.mark.parametrize("command", sorted(RECORDED))

@@ -142,6 +142,15 @@ class TestPartialTrace:
             assert abs(np.trace(red) - 1.0) <= 1e-12
             DensityMatrix(len(keep), red).validate()
 
+    def test_traces_lowest_index_first(self, rng):
+        # the branch oracle relies on this order to keep its sums bit for bit
+        mat = random_density_matrix(rng, 4)
+        t = mat.reshape((2,) * 8)
+        t = np.trace(t, axis1=0, axis2=4)    # qubit 0
+        t = np.trace(t, axis1=0, axis2=3)    # qubit 1
+        t = np.trace(t, axis1=1, axis2=3)    # qubit 3
+        assert np.array_equal(partial_trace_raw(mat, [2], 4), t.reshape(2, 2))
+
 
 def test_density_matrix_validation():
     with pytest.raises(ValueError):

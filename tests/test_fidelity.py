@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -10,16 +11,26 @@ from clusterfid.channels import (
     BUILTIN_CHANNELS,
     KrausChannel,
     amplitude_damping,
+    apply_assignment,
     bit_flip,
     dephasing,
 )
+from clusterfid.engine import conjugate_on_qubit
 from clusterfid.fidelity import (
     FidelityResult,
     cross_validate,
     fidelity_formula,
     mbqc_oracle,
+    resolve_assignment,
 )
-from clusterfid.patterns import CONTROLLED_Z, HADAMARD, IDENTITY, default_registry, z_rotation
+from clusterfid.patterns import (
+    CONTROLLED_Z,
+    HADAMARD,
+    IDENTITY,
+    default_registry,
+    parse_registry_text,
+    z_rotation,
+)
 
 ALL_GATES = [IDENTITY, HADAMARD, z_rotation(0.7853981633974483), CONTROLLED_Z]
 
@@ -202,3 +213,82 @@ def test_random_cptp_maps_formula_equals_oracle(case):
     assert abs(formula - oracle.raw_value) <= 1e-9
     assert -1e-9 <= oracle.raw_value <= 1 + 1e-9
     assert abs(sum(probs) - 1.0) <= 1e-10
+
+
+def _unpermuted_walk(pattern, theta, rho):
+    """The branch walk on the state's own qubit axes: each projection on the
+    measured qubit's index, then a trace of the measured qubits written
+    out highest index first."""
+    order = pattern.measure_order
+    n = rho.num_qubits
+    kept = sorted(pattern.to_index(lab) for lab in pattern.kept_labels)
+    eye2 = np.eye(2, dtype=complex)
+
+    def trace_out(mat):
+        t = mat.reshape((2,) * (2 * n))
+        cur = n
+        for q in sorted(set(range(n)) - set(kept), reverse=True):
+            t = np.trace(t, axis1=q, axis2=q + cur)
+            cur -= 1
+        return t.reshape(2 ** len(kept), 2 ** len(kept))
+
+    def walk(mat, outcomes):
+        if len(outcomes) == len(order):
+            yield outcomes, trace_out(mat)
+            return
+        label = order[len(outcomes)]
+        basis = pattern.bases[label]
+        op = basis.operator(theta, outcomes[basis.control] if basis.axis == "adaptive" else None)
+        qubit = pattern.to_index(label)
+        for bit in (0, 1):
+            proj = (eye2 + (-1) ** bit * op) / 2.0
+            yield from walk(conjugate_on_qubit(mat, proj, qubit, n), {**outcomes, label: bit})
+
+    yield from walk(rho.mat, {})
+
+
+@pytest.mark.parametrize("gate", [
+    IDENTITY, HADAMARD, z_rotation(math.pi / 4), z_rotation(1.1), CONTROLLED_Z,
+])
+def test_walk_matches_unpermuted_reference_bitwise(registry, rng, gate):
+    pattern = registry.pattern_for(gate)
+    clean = registry.cluster_state(gate)
+    families = list(BUILTIN_CHANNELS.values())
+    labels = rng.choice(pattern.labels, size=4, replace=False)
+    assignment = {
+        str(lab): families[int(rng.integers(len(families)))](float(rng.uniform(0.05, 0.9)))
+        for lab in labels
+    }
+    noisy = apply_assignment(clean, resolve_assignment(pattern, assignment))
+    for rho in (clean, noisy):
+        walked = list(fidelity._walk_branches(pattern, gate.theta, rho))
+        reference = list(_unpermuted_walk(pattern, gate.theta, rho))
+        assert len(walked) == len(reference) == 2 ** len(pattern.measure_order)
+        for (outcomes, reduced), (ref_outcomes, ref_reduced) in zip(walked, reference):
+            assert outcomes == ref_outcomes
+            assert np.array_equal(reduced, ref_reduced)
+
+
+def test_measurement_order_off_index_order(registry, rng):
+    text = resources.files("clusterfid").joinpath("data/patterns.txt").read_text()
+    head, zrot = text.split("[zrot]")
+    head = head.replace("order 0 2 3 4 6", "order 6 4 3 2 0", 1)
+    zrot = zrot.replace("order 0 2 3 4 6", "order 0 2 6 3 4", 1)
+    shuffled = parse_registry_text(head + "[zrot]" + zrot)
+    families = list(BUILTIN_CHANNELS.values())
+    for gate, order in ((IDENTITY, ("6", "4", "3", "2", "0")),
+                        (z_rotation(1.1), ("0", "2", "6", "3", "4"))):
+        labels = shuffled.pattern_for(gate).labels
+        assert shuffled.pattern_for(gate).measure_order == order
+        assignments = [{lab: amplitude_damping(0.3)} for lab in labels]
+        for _ in range(4):
+            chosen = rng.choice(labels, size=int(rng.integers(2, 5)), replace=False)
+            assignments.append({
+                str(lab): families[int(rng.integers(len(families)))](float(rng.uniform(0, 1)))
+                for lab in chosen
+            })
+        for assignment in assignments:
+            formula = fidelity_formula(gate, assignment, shuffled).raw_value
+            oracle = mbqc_oracle(gate, assignment, shuffled).raw_value
+            assert abs(formula - oracle) <= 1e-9
+            assert abs(oracle - mbqc_oracle(gate, assignment, registry).raw_value) <= 1e-12
