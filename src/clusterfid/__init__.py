@@ -21,8 +21,6 @@ from .graphs import (
     PauliString,
     build_cluster_state,
     cluster_state_projector_product,
-    format_graph,
-    parse_graph,
     stabilizer,
 )
 from .channels import (

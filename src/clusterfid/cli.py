@@ -229,9 +229,8 @@ def _validate_checks(registry):
         )
 
     for gate in gates:
-        wit = registry.witness_for(gate)
         worst = 0.0
-        for fac in wit.factors:
+        for fac in registry.witness_factors(gate):
             m = fac.matrix
             worst = max(
                 worst,

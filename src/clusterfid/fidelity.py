@@ -131,7 +131,7 @@ def _walk_branches(pattern: MeasurementPattern, theta: float, rho: DensityMatrix
     kept = sorted(pattern.to_index(lab) for lab in pattern.kept_labels)
     layout = measured + kept  # axis i of the walked copy holds qubit layout[i]
     axis_of = {label: measured.index(pattern.to_index(label)) for label in order}
-    n = rho.num_qubits
+    n, dim = rho.num_qubits, rho.dim
     eye2 = np.eye(2, dtype=complex)
 
     def walk(mat, outcomes):
@@ -151,7 +151,9 @@ def _walk_branches(pattern: MeasurementPattern, theta: float, rho: DensityMatrix
             )
 
     t = rho.mat.reshape((2,) * (2 * n)).transpose(layout + [n + q for q in layout])
-    yield from walk(np.ascontiguousarray(t).reshape(rho.dim, rho.dim), {})
+    mat = np.ascontiguousarray(t).reshape(dim, dim)
+    del rho, t  # the walk holds the permuted copy only, not the caller's state
+    yield from walk(mat, {})
 
 
 def _branch_correction(pattern: MeasurementPattern, outcomes: dict) -> np.ndarray:
@@ -199,14 +201,16 @@ def mbqc_oracle(
     registry = registry or default_registry()
     pattern = registry.pattern_for(gate)
     assignment = dict(assignment or {})
-    noisy = apply_assignment(
-        registry.cluster_state(gate), resolve_assignment(pattern, assignment)
+    resolved = resolve_assignment(pattern, assignment)
+    # Build the branch table first, and pass the noisy state on unnamed, so
+    # that one walk and one copy of the state are alive at a time.
+    table = _branches(registry, gate)
+    noisy_walk = _walk_branches(
+        pattern, gate.theta, apply_assignment(registry.cluster_state(gate), resolved)
     )
     total = 0.0
     probs = []
-    branches = zip(
-        _walk_branches(pattern, gate.theta, noisy), _branches(registry, gate), strict=True
-    )
+    branches = zip(noisy_walk, table, strict=True)
     for (_, reduced), (corr, ideal) in branches:
         prob = float(np.trace(reduced).real)
         if prob <= BRANCH_EPS:

@@ -68,39 +68,6 @@ class Graph:
         return out
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse the graph text format: ``n <numVertices>`` then ``e <i> <j>`` lines.
-
-    Whitespace-delimited; ``#`` starts a comment.
-    """
-    num = None
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "n" and len(parts) == 2:
-            if num is not None:
-                raise ValueError(f"line {lineno}: duplicate 'n' line")
-            num = int(parts[1])
-        elif parts[0] == "e" and len(parts) == 3:
-            if num is None:
-                raise ValueError(f"line {lineno}: 'e' before 'n'")
-            edges.append((int(parts[1]), int(parts[2])))
-        else:
-            raise ValueError(f"line {lineno}: cannot parse {raw!r}")
-    if num is None:
-        raise ValueError("missing 'n <numVertices>' line")
-    return Graph.from_edges(num, edges)
-
-
-def format_graph(g: Graph) -> str:
-    lines = [f"n {g.num_vertices}"]
-    lines += [f"e {i} {j}" for i, j in sorted(g.edges)]
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class PauliString:
     """A phased Pauli word, e.g. ``+1 * Z0 X1 Z2`` stored as letters 'ZXZ'."""

@@ -21,7 +21,7 @@ built here from the pattern's stabilizers:
 
 where K_l is the cluster stabilizer of the vertex labeled ``l``. The
 expectation of the witness on the noisy pre-measurement cluster state
-equals the branch-averaged gate fidelity; ``cmdValidate`` and the test
+equals the branch-averaged gate fidelity; ``cli.cmd_validate`` and the test
 suite hold the registry to that via the independent branch oracle.
 """
 
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -180,20 +181,27 @@ class WitnessFactor:
     """One (1 + S)/2 projector factor of a witness.
 
     ``stabilizer_labels`` records which vertex stabilizers make up S (the
-    grouping the controlling-pattern analysis talks about), ``support`` the
-    vertices its Pauli expansion actually touches.
+    grouping the controlling-pattern analysis talks about).
     """
 
     stabilizer_labels: tuple
-    support: frozenset
     matrix: np.ndarray
 
 
 @dataclass(frozen=True)
 class FidelityWitness:
     gate: GateKind
-    factors: tuple
-    matrix: np.ndarray                # cached product of the factors
+    matrix: np.ndarray                # product of the factors, in order
+
+
+#: Stabilizer labels of each gate's (1 + S)/2 factors, in product order; the
+#: Z-rotation's angle-dependent factor follows its one projector factor.
+_WITNESS_GROUPS = {
+    "identity": (("1", "3", "5"), ("2", "4")),
+    "hadamard": (("1", "3", "5"), ("2", "4", "6")),
+    "zrot": (("2", "4"),),
+    "cz": (("a_in", "3", "a_out"), ("b_in", "4", "b_out"), ("1", "4"), ("2", "3")),
+}
 
 
 class PatternRegistry:
@@ -225,23 +233,17 @@ class PatternRegistry:
             self._witness_cache[key] = self._build_witness(gate)
         return self._witness_cache[key]
 
-    def witness_support_partition(self, gate: GateKind) -> dict:
-        """Group qubit labels by the set of witness factors touching them.
+    def witness_factors(self, gate: GateKind) -> Iterator[WitnessFactor]:
+        """Build the witness's factors one at a time, in product order.
 
-        Keys are tuples of factor indices (singletons for qubits owned by
-        one factor; longer tuples are the merged blocks of qubits shared by
-        several factors), values are sorted label lists.
+        Nothing is cached: the registry keeps only the product, so a caller
+        that needs the factors holds one dense factor at a time.
         """
         pat = self.pattern_for(gate)
-        witness = self.witness_for(gate)
-        blocks: dict = {}
-        for idx, lab in enumerate(pat.labels):
-            touched = tuple(
-                fi for fi, fac in enumerate(witness.factors) if idx in fac.support
-            )
-            if touched:
-                blocks.setdefault(touched, []).append(lab)
-        return {k: sorted(v, key=pat.labels.index) for k, v in blocks.items()}
+        for labels in _WITNESS_GROUPS[gate.kind]:
+            yield self._projector_factor(pat, labels)
+        if gate.kind == "zrot":
+            yield self._rotation_factor(pat, gate.theta)
 
     # -- witness construction ------------------------------------------------
 
@@ -254,36 +256,14 @@ class PatternRegistry:
             prod = prod * self._stab(pat, lab)
         dim = 2**pat.graph.num_vertices
         mat = (np.eye(dim, dtype=complex) + prod.matrix()) / 2.0
-        return WitnessFactor(tuple(labels), prod.support(), mat)
+        return WitnessFactor(tuple(labels), mat)
 
     def _build_witness(self, gate: GateKind) -> FidelityWitness:
-        pat = self.pattern_for(gate)
-        if gate.kind == "identity":
-            factors = (
-                self._projector_factor(pat, ("1", "3", "5")),
-                self._projector_factor(pat, ("2", "4")),
-            )
-        elif gate.kind == "hadamard":
-            factors = (
-                self._projector_factor(pat, ("1", "3", "5")),
-                self._projector_factor(pat, ("2", "4", "6")),
-            )
-        elif gate.kind == "cz":
-            factors = (
-                self._projector_factor(pat, ("a_in", "3", "a_out")),
-                self._projector_factor(pat, ("b_in", "4", "b_out")),
-                self._projector_factor(pat, ("1", "4")),
-                self._projector_factor(pat, ("2", "3")),
-            )
-        else:
-            factors = (
-                self._projector_factor(pat, ("2", "4")),
-                self._rotation_factor(pat, gate.theta),
-            )
-        combined = factors[0].matrix
-        for fac in factors[1:]:
+        factors = self.witness_factors(gate)
+        combined = next(factors).matrix
+        for fac in factors:
             combined = combined @ fac.matrix
-        return FidelityWitness(gate, factors, combined)
+        return FidelityWitness(gate, combined)
 
     def _rotation_factor(self, pat: MeasurementPattern, theta: float) -> WitnessFactor:
         """The angle-dependent factor of the Z-rotation witness."""
@@ -301,13 +281,7 @@ class PatternRegistry:
         k135 = (k["1"] * k["3"] * k["5"]).matrix()
         swing = (zyz * k["2"] * k["3"]).matrix() @ (eye - k4) @ k["5"].matrix()
         mat = (eye + k135 @ (c * c * eye + s * s * k4) + c * s * swing) / 2.0
-        support = frozenset().union(
-            (k["1"] * k["3"] * k["5"]).support(),
-            (k["1"] * k["3"] * k["5"] * k["4"]).support(),
-            (zyz * k["2"] * k["3"] * k["5"]).support(),
-            (zyz * k["2"] * k["3"] * k["4"] * k["5"]).support(),
-        )
-        return WitnessFactor(("1", "2", "3", "4", "5"), support, mat)
+        return WitnessFactor(("1", "2", "3", "4", "5"), mat)
 
 
 # -- registry file parsing ----------------------------------------------------
@@ -330,7 +304,7 @@ def _int(token: str, lineno: int) -> int:
 
 def _parse_section(name: str, lines: list) -> MeasurementPattern:
     num = None
-    edges = []
+    edge_lines: dict = {}    # edge (low, high) -> line it is on
     labels: dict = {}
     label_lines: dict = {}   # vertex index -> line of its label
     inputs: tuple = ()
@@ -359,7 +333,16 @@ def _parse_section(name: str, lines: list) -> MeasurementPattern:
         if kw == "n":
             num = _int(args[0], lineno)
         elif kw == "e":
-            edges.append((_int(args[0], lineno), _int(args[1], lineno)))
+            i, j = _int(args[0], lineno), _int(args[1], lineno)
+            if i == j:
+                raise ValueError(f"line {lineno}: self-loop at vertex {i}")
+            edge = (min(i, j), max(i, j))
+            if edge in edge_lines:
+                raise ValueError(
+                    f"line {lineno}: repeated edge ({i},{j}), "
+                    f"first given on line {edge_lines[edge]}"
+                )
+            edge_lines[edge] = lineno
         elif kw == "label":
             index = _int(args[0], lineno)
             labels[index] = args[1]
@@ -397,7 +380,10 @@ def _parse_section(name: str, lines: list) -> MeasurementPattern:
     for index, lineno in label_lines.items():
         if not 0 <= index < num:
             raise ValueError(f"line {lineno}: label index {index} outside 0..{num - 1}")
-    graph = Graph.from_edges(num, edges)
+    for (i, j), lineno in edge_lines.items():
+        if not 0 <= i < j < num:
+            raise ValueError(f"line {lineno}: edge ({i},{j}) outside 0..{num - 1}")
+    graph = Graph.from_edges(num, edge_lines)
     label_tuple = tuple(labels.get(i, str(i)) for i in range(num))
     if len(set(label_tuple)) != num:
         raise ValueError(f"section [{name}] has duplicate labels")
@@ -451,7 +437,7 @@ def default_registry() -> PatternRegistry:
 def witness_expectation_noiseless(registry: PatternRegistry, gate: GateKind) -> float:
     """Expectation of the gate's witness on its pristine cluster state.
 
-    Equals 1 for a correct registry; ``cmdValidate`` uses this as the
+    Equals 1 for a correct registry; ``cli.cmd_validate`` uses this as the
     registry-correctness gate.
     """
     rho = registry.cluster_state(gate)

@@ -328,6 +328,10 @@ class TestHostileInputs:
         ("basis 0 Z\n", "basis 0 Z\nbasis 0 X\n", "repeated 'basis 0' line"),
         ("label 0 a_in\n", "label 0 a_in\nlabel 0 a\n", "repeated 'label 0' line"),
         ("n 7\n", "n seven\n", "expected an integer, got 'seven'"),
+        ("e 0 1\n", "e 0 99\n", "edge (0,99) outside 0..6"),
+        ("e 0 1\n", "e 0 0\n", "self-loop at vertex 0"),
+        ("e 0 1\n", "e 0 1\ne 1 0\n", "repeated edge (1,0), first given on line 32"),
+        ("e 0 1\n", "e 0 1\ne 0 1\n", "repeated edge (0,1), first given on line 32"),
     ])
     def test_malformed_registry_line(self, line, changed, message, capsys, tmp_path):
         from importlib import resources

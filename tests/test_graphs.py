@@ -9,8 +9,6 @@ from clusterfid.graphs import (
     PauliString,
     build_cluster_state,
     cluster_state_projector_product,
-    format_graph,
-    parse_graph,
     stabilizer,
 )
 
@@ -46,20 +44,6 @@ class TestGraph:
         with pytest.raises(ValueError):
             g = Graph.chain(3)
             g.neighbors(7)
-
-    def test_text_format_round_trip(self):
-        g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        assert parse_graph(format_graph(g)) == g
-
-    def test_parse_with_comments(self):
-        g = parse_graph("# a chain\nn 3\ne 0 1   # first\ne 1 2\n")
-        assert g == Graph.chain(3)
-
-    def test_parse_errors(self):
-        with pytest.raises(ValueError):
-            parse_graph("e 0 1\n")
-        with pytest.raises(ValueError):
-            parse_graph("n 2\nq 0 1\n")
 
 
 class TestPauliString:

@@ -79,7 +79,7 @@ class TestWitness:
 
     @pytest.mark.parametrize("gate", ALL_GATES)
     def test_factors_are_hermitian_projectors(self, registry, gate):
-        for fac in registry.witness_for(gate).factors:
+        for fac in registry.witness_factors(gate):
             m = fac.matrix
             assert np.max(np.abs(m - m.conj().T)) <= 1e-10
             assert np.max(np.abs(m @ m - m)) <= 1e-10
@@ -110,15 +110,24 @@ class TestWitness:
         g = registry.pattern_for(IDENTITY).graph
         k = {i: stabilizer(g, i).matrix() for i in range(7)}
         eye = np.eye(2**7)
-        fac = registry.witness_for(z_rotation(0.0)).factors[1].matrix
+        fac = list(registry.witness_factors(z_rotation(0.0)))[1].matrix
         assert np.max(np.abs(fac - (eye + k[1] @ k[3] @ k[5]) / 2)) <= 1e-12
 
     def test_cz_factors_commute_pairwise(self, registry):
-        factors = [f.matrix for f in registry.witness_for(CONTROLLED_Z).factors]
+        factors = [f.matrix for f in registry.witness_factors(CONTROLLED_Z)]
         for i in range(4):
             for j in range(i + 1, 4):
                 comm = factors[i] @ factors[j] - factors[j] @ factors[i]
                 assert np.max(np.abs(comm)) <= 1e-12
+
+    @pytest.mark.parametrize("gate", ALL_GATES + [z_rotation(-1.2), z_rotation(2.9)])
+    def test_witness_is_ordered_product_of_factors(self, registry, gate):
+        # the cached witness is the left-to-right product, bit for bit
+        factors = [f.matrix for f in registry.witness_factors(gate)]
+        product = factors[0]
+        for m in factors[1:]:
+            product = product @ m
+        assert np.array_equal(product, registry.witness_for(gate).matrix)
 
     def test_zrot_continuity_in_theta(self, registry):
         # fixed noisy state; F must move by O(delta) under a tiny angle change
@@ -148,34 +157,9 @@ class TestWitness:
 
 class TestSupportPartition:
     def test_hadamard_groups(self, registry):
-        wit = registry.witness_for(HADAMARD)
-        assert wit.factors[0].stabilizer_labels == ("1", "3", "5")
-        assert wit.factors[1].stabilizer_labels == ("2", "4", "6")
-        blocks = registry.witness_support_partition(HADAMARD)
-        # odd-factor side, even-factor side, and the shared boundary qubits
-        assert blocks[(0,)] == ["0", "3", "5"]
-        assert blocks[(1,)] == ["2", "4"]
-        assert blocks[(0, 1)] == ["1", "6"]
-
-    def test_identity_partition_from_odd_and_even_factors(self, registry):
-        blocks = registry.witness_support_partition(IDENTITY)
-        assert blocks[(0,)] == ["0", "3", "6"]
-        assert blocks[(1,)] == ["2", "4"]
-        assert blocks[(0, 1)] == ["1", "5"]
-
-    def test_single_factor_witness_is_one_group(self, registry):
-        # synthetic registry check: a factor's own support forms one block
-        wit = registry.witness_for(CONTROLLED_Z)
-        supports = [f.support for f in wit.factors]
-        blocks = registry.witness_support_partition(CONTROLLED_Z)
-        all_labels = [lab for labs in blocks.values() for lab in labs]
-        assert sorted(all_labels) == sorted(registry.pattern_for(CONTROLLED_Z).labels)
-        # every factor's exclusive block is contained in its support
-        pat = registry.pattern_for(CONTROLLED_Z)
-        for key, labs in blocks.items():
-            for lab in labs:
-                for fi in key:
-                    assert pat.to_index(lab) in supports[fi]
+        factors = list(registry.witness_factors(HADAMARD))
+        assert factors[0].stabilizer_labels == ("1", "3", "5")
+        assert factors[1].stabilizer_labels == ("2", "4", "6")
 
 
 class TestRegistryParsing:
