@@ -20,14 +20,14 @@ from clusterfid import (
 chain = Graph.chain(5)
 rho = build_cluster_state(chain)
 print("five-qubit chain cluster state")
-print("  purity Tr(rho^2) =", np.trace(rho.mat @ rho.mat).real)
+print("  purity Tr(rho^2) =", np.trace(rho @ rho).real)
 for i in range(5):
     k = stabilizer(chain, i)
     print(f"  <K_{i}> = {expectation(rho, k.matrix()).real:+.12f}   K_{i} = {k}")
 
 # %% the two constructions agree entrywise
 alt = cluster_state_projector_product(chain)
-print("max |circuit - projector product| =", np.max(np.abs(rho.mat - alt.mat)))
+print("max |circuit - projector product| =", np.max(np.abs(rho - alt)))
 
 # %% a ring and a star behave the same way
 for name, g in [

@@ -17,7 +17,6 @@ import numpy as np
 
 from clusterfid import (
     IDENTITY,
-    apply_unitary,
     default_registry,
     embed,
     expectation,
@@ -39,7 +38,7 @@ for kind in ("identity", "hadamard", "cz"):
 # %% the 32 decorated resource states of the identity pattern
 pattern = registry.pattern_for(IDENTITY)
 rho = registry.cluster_state(IDENTITY)
-witness = registry.witness_for(IDENTITY).matrix
+witness = registry.witness_for(IDENTITY)
 n = pattern.graph.num_vertices
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -50,6 +49,7 @@ for mask in itertools.product((0, 1), repeat=5):
     state = rho
     for on, (label, op) in zip(mask, decorations):
         if on:
-            state = apply_unitary(state, embed(op, [pattern.to_index(label)], n))
+            u = embed(op, [pattern.to_index(label)], n)
+            state = u @ state @ u.conj().T
     worst = min(worst, expectation(state, witness).real)
 print(f"\n32 decorated states: min fidelity = {worst:.12f} (all exactly 1)")

@@ -7,15 +7,7 @@ evaluators are provided and held to agreement: a closed-form stabilizer
 witness expectation, and an exhaustive measurement-branch oracle.
 """
 
-from .engine import (
-    CapacityError,
-    DensityMatrix,
-    MAX_QUBITS,
-    apply_unitary,
-    embed,
-    expectation,
-    pure_state,
-)
+from .engine import CapacityError, MAX_QUBITS, embed, expectation
 from .graphs import (
     Graph,
     PauliString,
@@ -37,7 +29,6 @@ from .channels import (
 )
 from .patterns import (
     CONTROLLED_Z,
-    FidelityWitness,
     GateKind,
     HADAMARD,
     IDENTITY,

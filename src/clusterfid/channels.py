@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .engine import DensityMatrix, conjugate_on_qubit
+from .engine import conjugate_on_qubit, read_only
 
 COMPLETENESS_ATOL = 1e-12
 
@@ -158,15 +158,14 @@ def parse_channel_spec(spec: str) -> KrausChannel:
     return channel_family(name.strip())(float(arg))
 
 
-def apply_assignment(rho: DensityMatrix, assignment: NoiseAssignment) -> DensityMatrix:
-    """Apply each qubit's channel in turn.
+def apply_assignment(mat: np.ndarray, assignment: NoiseAssignment) -> np.ndarray:
+    """Apply each qubit's channel in turn to the state ``mat`` (read-only result).
 
     Channels on distinct qubits commute, so the iteration order cannot
     change the result; qubits are visited in ascending order anyway to keep
     rounding deterministic.
     """
-    n = rho.num_qubits
-    mat = rho.mat
+    n = mat.shape[0].bit_length() - 1
     for q in sorted(assignment):
         if not (0 <= q < n):
             raise ValueError(f"assignment targets qubit {q} outside 0..{n - 1}")
@@ -174,4 +173,4 @@ def apply_assignment(rho: DensityMatrix, assignment: NoiseAssignment) -> Density
         for op in assignment[q].operators:
             acc = acc + conjugate_on_qubit(mat, op, q, n)
         mat = acc
-    return DensityMatrix(n, mat)
+    return read_only(mat)

@@ -255,7 +255,7 @@ def _validate_checks(registry):
         g = registry.pattern_for(gate).graph
         a = build_cluster_state(g)
         b = cluster_state_projector_product(g)
-        dev = float(np.max(np.abs(a.mat - b.mat)))
+        dev = float(np.max(np.abs(a - b)))
         yield (
             f"cluster constructors agree [{gate.kind}]",
             dev <= 1e-10,
@@ -382,10 +382,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,25 +1,23 @@
 """Dense complex-matrix engine for small n-qubit density matrices.
 
 Everything here operates on plain ``numpy`` arrays of shape ``(2**n, 2**n)``
-with dtype ``complex128``. Qubit 0 is the most significant tensor factor
-throughout the package: for two qubits, ``embed(X, [0], 2)`` is ``X (x) I``
-and ``embed(X, [1], 2)`` is ``I (x) X``. The engine is deliberately dense;
-the patterns analysed with it never exceed a handful of qubits, and
-damping channels are non-Clifford, so a stabilizer tableau would not help.
+with dtype ``complex128``; the states and witnesses the package hands out
+are such arrays, marked read-only so that no caller can alter a cached one.
+Qubit 0 is the most significant tensor factor throughout the package: for
+two qubits, ``embed(X, [0], 2)`` is ``X (x) I`` and ``embed(X, [1], 2)`` is
+``I (x) X``. The engine is deliberately dense; the patterns analysed with
+it never exceed a handful of qubits, and damping channels are non-Clifford,
+so a stabilizer tableau would not help.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 #: Hard cap on system size; dense matrices above 2**12 are refused.
 MAX_QUBITS = 12
-
-#: Tolerance used for unitarity / projector preconditions.
-ATOL_OP = 1e-10
 
 #: Measurement branches with probability at or below this are discarded.
 BRANCH_EPS = 1e-12
@@ -36,68 +34,11 @@ def _as_matrix(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _num_qubits_for(dim: int) -> int:
-    n = int(dim).bit_length() - 1
-    if 2**n != dim:
-        raise ValueError(f"dimension {dim} is not a power of two")
-    return n
-
-
-def _check_capacity(dim: int) -> None:
-    if dim > 2**MAX_QUBITS:
-        raise CapacityError(
-            f"dimension {dim} exceeds the engine limit of 2**{MAX_QUBITS}"
-        )
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """An n-qubit state: Hermitian, unit-trace, positive-semidefinite matrix.
-
-    The invariants are not re-checked on every operation (that would be an
-    O(d^3) eigendecomposition on hot paths); call :meth:`validate` in tests.
-    """
-
-    num_qubits: int
-    mat: np.ndarray
-
-    def __post_init__(self):
-        mat = _as_matrix(self.mat)
-        if mat.shape[0] != 2**self.num_qubits:
-            raise ValueError(
-                f"matrix of shape {mat.shape} does not hold {self.num_qubits} qubits"
-            )
-        _check_capacity(mat.shape[0])
-        mat = mat.copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "mat", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def validate(self, check_psd: bool = False, atol: float = 1e-10) -> None:
-        """Raise if the state is not Hermitian / unit trace / (optionally) PSD."""
-        herm = np.max(np.abs(self.mat - self.mat.conj().T))
-        if herm > 1e-12:
-            raise ValueError(f"not Hermitian: max |M - M^dag| = {herm:.3e}")
-        tr = np.trace(self.mat)
-        if abs(tr - 1.0) > 1e-11:
-            raise ValueError(f"trace {tr} is not 1")
-        if not np.all(np.isfinite(self.mat)):
-            raise ValueError("matrix contains non-finite entries")
-        if check_psd:
-            lo = float(np.linalg.eigvalsh(self.mat)[0])
-            if lo < -atol:
-                raise ValueError(f"smallest eigenvalue {lo:.3e} below -{atol}")
-
-
-def pure_state(vector: np.ndarray) -> DensityMatrix:
-    """Outer product |v><v| of a normalized state vector."""
-    v = np.asarray(vector, dtype=complex).ravel()
-    n = _num_qubits_for(v.size)
-    v = v / np.linalg.norm(v)
-    return DensityMatrix(n, np.outer(v, v.conj()))
+def read_only(mat: np.ndarray) -> np.ndarray:
+    """A read-only view of ``mat``; the array it views keeps its own flag."""
+    view = mat.view()
+    view.flags.writeable = False
+    return view
 
 
 def embed(op: np.ndarray, targets: list[int], num_qubits: int) -> np.ndarray:
@@ -116,7 +57,10 @@ def embed(op: np.ndarray, targets: list[int], num_qubits: int) -> np.ndarray:
         raise ValueError(
             f"operator of dim {op.shape[0]} does not act on {len(targets)} qubits"
         )
-    _check_capacity(2**num_qubits)
+    if num_qubits > MAX_QUBITS:
+        raise CapacityError(
+            f"dimension {2**num_qubits} exceeds the engine limit of 2**{MAX_QUBITS}"
+        )
     rest = [q for q in range(num_qubits) if q not in targets]
     full = np.kron(op, np.eye(2 ** len(rest), dtype=complex))
     # `full` acts on qubits in order targets + rest; permute axes back.
@@ -157,23 +101,12 @@ def conjugate_on_qubit(
     return out
 
 
-def apply_unitary(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
-    """Conjugate the state: rho -> U rho U^dag."""
-    u = _as_matrix(u)
-    if u.shape[0] != rho.dim:
-        raise ValueError(f"unitary dim {u.shape[0]} != state dim {rho.dim}")
-    dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if dev > ATOL_OP:
-        raise ValueError(f"operator is not unitary: max |U^dag U - I| = {dev:.3e}")
-    return DensityMatrix(rho.num_qubits, u @ rho.mat @ u.conj().T)
-
-
-def expectation(rho: DensityMatrix, m: np.ndarray) -> complex:
+def expectation(rho: np.ndarray, m: np.ndarray) -> complex:
     """Tr(rho M), computed without forming the product matrix."""
     m = _as_matrix(m)
-    if m.shape[0] != rho.dim:
-        raise ValueError(f"operator dim {m.shape[0]} != state dim {rho.dim}")
-    return complex(np.sum(rho.mat * m.T))
+    if m.shape != rho.shape:
+        raise ValueError(f"operator of shape {m.shape} != state of shape {rho.shape}")
+    return complex(np.sum(rho * m.T))
 
 
 def partial_trace_raw(

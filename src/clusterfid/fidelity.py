@@ -21,7 +21,6 @@ import numpy as np
 from .engine import (
     BRANCH_EPS,
     CapacityError,
-    DensityMatrix,
     conjugate_on_qubit,
     embed,
     expectation,
@@ -90,7 +89,7 @@ def fidelity_formula(
     rho = apply_assignment(
         registry.cluster_state(gate), resolve_assignment(pattern, assignment)
     )
-    val = expectation(rho, registry.witness_for(gate).matrix)
+    val = expectation(rho, registry.witness_for(gate))
     if abs(val.imag) > 1e-10:
         raise ValueError(f"witness expectation has imaginary part {val.imag:.3e}")
     return FidelityResult(
@@ -105,7 +104,7 @@ def fidelity_formula(
 _branch_tables = weakref.WeakKeyDictionary()
 
 
-def _walk_branches(pattern: MeasurementPattern, theta: float, rho: DensityMatrix):
+def _walk_branches(pattern: MeasurementPattern, theta: float, rho: np.ndarray):
     """Yield ``(outcomes, reduced branch)`` for every outcome vector of the pattern.
 
     Walks ``measure_order`` depth first, so the vectors come in
@@ -131,7 +130,8 @@ def _walk_branches(pattern: MeasurementPattern, theta: float, rho: DensityMatrix
     kept = sorted(pattern.to_index(lab) for lab in pattern.kept_labels)
     layout = measured + kept  # axis i of the walked copy holds qubit layout[i]
     axis_of = {label: measured.index(pattern.to_index(label)) for label in order}
-    n, dim = rho.num_qubits, rho.dim
+    n = pattern.graph.num_vertices
+    dim = 2**n
     eye2 = np.eye(2, dtype=complex)
 
     def walk(mat, outcomes):
@@ -150,7 +150,7 @@ def _walk_branches(pattern: MeasurementPattern, theta: float, rho: DensityMatrix
                 conjugate_on_qubit(mat, proj, axis_of[label], n), {**outcomes, label: bit}
             )
 
-    t = rho.mat.reshape((2,) * (2 * n)).transpose(layout + [n + q for q in layout])
+    t = rho.reshape((2,) * (2 * n)).transpose(layout + [n + q for q in layout])
     mat = np.ascontiguousarray(t).reshape(dim, dim)
     del rho, t  # the walk holds the permuted copy only, not the caller's state
     yield from walk(mat, {})

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import MAX_QUBITS, CapacityError, DensityMatrix
+from .engine import MAX_QUBITS, CapacityError, read_only
 
 _PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -111,9 +111,6 @@ class PauliString:
                 letters.append(c)
         return PauliString("".join(letters), phase)
 
-    def support(self) -> frozenset:
-        return frozenset(i for i, c in enumerate(self.letters) if c != "I")
-
     def matrix(self) -> np.ndarray:
         out = np.array([[self.phase]], dtype=complex)
         for c in self.letters:
@@ -137,8 +134,8 @@ def stabilizer(g: Graph, i: int) -> PauliString:
     return PauliString("".join(letters))
 
 
-def build_cluster_state(g: Graph) -> DensityMatrix:
-    """Cluster state of g: |+>^n entangled by CZ on every edge."""
+def build_cluster_state(g: Graph) -> np.ndarray:
+    """Cluster state of g: |+>^n entangled by CZ on every edge (read-only)."""
     n = g.num_vertices
     if n > MAX_QUBITS:
         raise CapacityError(f"{n} qubits exceeds the engine limit of {MAX_QUBITS}")
@@ -148,10 +145,10 @@ def build_cluster_state(g: Graph) -> DensityMatrix:
     for i, j in g.edges:
         both = ((idx >> (n - 1 - i)) & 1) & ((idx >> (n - 1 - j)) & 1)
         psi[both == 1] *= -1.0
-    return DensityMatrix(n, np.outer(psi, psi.conj()))
+    return read_only(np.outer(psi, psi.conj()))
 
 
-def cluster_state_projector_product(g: Graph) -> DensityMatrix:
+def cluster_state_projector_product(g: Graph) -> np.ndarray:
     """Same state built as the normalized product of (I + K_i)/2 projectors.
 
     Slower than the circuit constructor; used to cross-check it.
@@ -165,4 +162,4 @@ def cluster_state_projector_product(g: Graph) -> DensityMatrix:
         ki = stabilizer(g, i).matrix()
         m = m @ (np.eye(dim, dtype=complex) + ki) / 2.0
     tr = np.trace(m).real
-    return DensityMatrix(n, m / tr)
+    return read_only(m / tr)

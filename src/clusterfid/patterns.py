@@ -35,7 +35,7 @@ from importlib import resources
 
 import numpy as np
 
-from .engine import DensityMatrix, expectation
+from .engine import MAX_QUBITS, CapacityError, expectation, read_only
 from .graphs import Graph, PauliString, build_cluster_state, stabilizer
 
 _VALID_GATES = ("identity", "hadamard", "zrot", "cz")
@@ -188,12 +188,6 @@ class WitnessFactor:
     matrix: np.ndarray
 
 
-@dataclass(frozen=True)
-class FidelityWitness:
-    gate: GateKind
-    matrix: np.ndarray                # product of the factors, in order
-
-
 #: Stabilizer labels of each gate's (1 + S)/2 factors, in product order; the
 #: Z-rotation's angle-dependent factor follows its one projector factor.
 _WITNESS_GROUPS = {
@@ -220,14 +214,15 @@ class PatternRegistry:
     def pattern_for(self, gate: GateKind) -> MeasurementPattern:
         return self._patterns[gate.kind]
 
-    def cluster_state(self, gate: GateKind) -> DensityMatrix:
-        """The (cached) pristine cluster state of the gate's graph."""
+    def cluster_state(self, gate: GateKind) -> np.ndarray:
+        """The (cached, read-only) pristine cluster state of the gate's graph."""
         key = gate.kind
         if key not in self._cluster_cache:
             self._cluster_cache[key] = build_cluster_state(self.pattern_for(gate).graph)
         return self._cluster_cache[key]
 
-    def witness_for(self, gate: GateKind) -> FidelityWitness:
+    def witness_for(self, gate: GateKind) -> np.ndarray:
+        """The (cached, read-only) witness: the product of its factors, in order."""
         key = (gate.kind, gate.theta)
         if key not in self._witness_cache:
             self._witness_cache[key] = self._build_witness(gate)
@@ -258,12 +253,12 @@ class PatternRegistry:
         mat = (np.eye(dim, dtype=complex) + prod.matrix()) / 2.0
         return WitnessFactor(tuple(labels), mat)
 
-    def _build_witness(self, gate: GateKind) -> FidelityWitness:
+    def _build_witness(self, gate: GateKind) -> np.ndarray:
         factors = self.witness_factors(gate)
         combined = next(factors).matrix
         for fac in factors:
             combined = combined @ fac.matrix
-        return FidelityWitness(gate, combined)
+        return read_only(combined)
 
     def _rotation_factor(self, pat: MeasurementPattern, theta: float) -> WitnessFactor:
         """The angle-dependent factor of the Z-rotation witness."""
@@ -332,6 +327,12 @@ def _parse_section(name: str, lines: list) -> MeasurementPattern:
             seen.add(key)
         if kw == "n":
             num = _int(args[0], lineno)
+            if num < 1:
+                raise ValueError(f"line {lineno}: 'n' must be at least 1, got {num}")
+            if num > MAX_QUBITS:
+                raise CapacityError(
+                    f"line {lineno}: {num} qubits exceeds the engine limit of {MAX_QUBITS}"
+                )
         elif kw == "e":
             i, j = _int(args[0], lineno), _int(args[1], lineno)
             if i == j:
@@ -441,4 +442,4 @@ def witness_expectation_noiseless(registry: PatternRegistry, gate: GateKind) -> 
     registry-correctness gate.
     """
     rho = registry.cluster_state(gate)
-    return expectation(rho, registry.witness_for(gate).matrix).real
+    return expectation(rho, registry.witness_for(gate)).real

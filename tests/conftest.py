@@ -20,3 +20,19 @@ def random_density_matrix(rng, n):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = g @ g.conj().T
     return m / np.trace(m)
+
+
+def pure_density(vector):
+    """|v><v| of a state vector, normalized."""
+    v = np.asarray(vector, dtype=complex).ravel()
+    v = v / np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def assert_density_matrix(mat, check_psd=False, atol=1e-10):
+    """Hermitian, finite, unit trace and (if asked) positive semidefinite."""
+    assert np.all(np.isfinite(mat))
+    assert np.max(np.abs(mat - mat.conj().T)) <= 1e-12
+    assert abs(np.trace(mat) - 1.0) <= 1e-11
+    if check_psd:
+        assert np.linalg.eigvalsh(mat)[0] >= -atol

@@ -16,13 +16,12 @@ from clusterfid.channels import (
     parse_channel_spec,
     phase_damping,
 )
-from clusterfid.engine import DensityMatrix, pure_state
 from clusterfid.graphs import Graph, build_cluster_state
-from conftest import random_density_matrix
+from conftest import pure_density, random_density_matrix
 
-ZERO = pure_state(np.array([1, 0]))
-ONE = pure_state(np.array([0, 1]))
-PLUS = pure_state(np.array([1, 1]) / np.sqrt(2))
+ZERO = pure_density([1, 0])
+ONE = pure_density([0, 1])
+PLUS = pure_density([1, 1])
 
 
 class TestConstructors:
@@ -71,18 +70,18 @@ class TestSingleQubitAction:
         assert np.max(np.abs(bit_flip(0.0).apply_single(rho) - rho)) <= 1e-15
 
     def test_bitflip_half_mixes_zero(self):
-        assert np.allclose(bit_flip(0.5).apply_single(ZERO.mat), np.eye(2) / 2)
+        assert np.allclose(bit_flip(0.5).apply_single(ZERO), np.eye(2) / 2)
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 1.0])
     def test_bitflip_fixes_plus(self, p):
-        assert np.allclose(bit_flip(p).apply_single(PLUS.mat), PLUS.mat)
+        assert np.allclose(bit_flip(p).apply_single(PLUS), PLUS)
 
     @pytest.mark.parametrize("p", [0.2, 0.7])
     def test_dephasing_fixes_zero(self, p):
-        assert np.allclose(dephasing(p).apply_single(ZERO.mat), ZERO.mat)
+        assert np.allclose(dephasing(p).apply_single(ZERO), ZERO)
 
     def test_dephasing_half_kills_coherence(self):
-        assert np.allclose(dephasing(0.5).apply_single(PLUS.mat), np.eye(2) / 2)
+        assert np.allclose(dephasing(0.5).apply_single(PLUS), np.eye(2) / 2)
 
     def test_dephasing_off_diagonal_scale(self, rng):
         # direct 2x2 algebra: (1-p) rho + p Z rho Z scales rho_01 by (1-2p)
@@ -103,10 +102,10 @@ class TestSingleQubitAction:
         assert np.max(np.abs(phase_damping(0.0).apply_single(rho) - rho)) <= 1e-15
 
     def test_amplitude_damping_full_decay(self):
-        assert np.allclose(amplitude_damping(1.0).apply_single(ONE.mat), ZERO.mat)
+        assert np.allclose(amplitude_damping(1.0).apply_single(ONE), ZERO)
 
     def test_amplitude_damping_ground_state_fixed(self):
-        assert np.allclose(amplitude_damping(0.6).apply_single(ZERO.mat), ZERO.mat)
+        assert np.allclose(amplitude_damping(0.6).apply_single(ZERO), ZERO)
 
     def test_amplitude_damping_excited_population(self, rng):
         rho = random_density_matrix(rng, 1)
@@ -117,15 +116,15 @@ class TestSingleQubitAction:
 
 class TestApplyAssignment:
     def test_empty_assignment(self, rng):
-        rho = DensityMatrix(2, random_density_matrix(rng, 2))
+        rho = random_density_matrix(rng, 2)
         out = apply_assignment(rho, {})
-        assert np.allclose(out.mat, rho.mat)
+        assert np.allclose(out, rho)
 
     def test_order_independence(self, rng):
-        rho = DensityMatrix(3, random_density_matrix(rng, 3))
+        rho = random_density_matrix(rng, 3)
         a = apply_assignment(apply_assignment(rho, {0: bit_flip(0.3)}), {2: amplitude_damping(0.4)})
         b = apply_assignment(apply_assignment(rho, {2: amplitude_damping(0.4)}), {0: bit_flip(0.3)})
-        assert np.max(np.abs(a.mat - b.mat)) <= 1e-12
+        assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_full_dephasing_of_cluster_matches_direct_sum(self):
         # oracle: enumerate the 2^n Z-subset terms of p=1/2 dephasing directly
@@ -133,27 +132,27 @@ class TestApplyAssignment:
         rho = build_cluster_state(g)
         out = apply_assignment(rho, {q: dephasing(0.5) for q in range(3)})
         z = np.diag([1, -1]).astype(complex)
-        direct = np.zeros_like(rho.mat)
+        direct = np.zeros_like(rho)
         for bits in itertools.product((0, 1), repeat=3):
             op = np.array([[1]], dtype=complex)
             for b in bits:
                 op = np.kron(op, z if b else np.eye(2))
-            direct += op @ rho.mat @ op / 8
-        assert np.max(np.abs(out.mat - direct)) <= 1e-12
+            direct += op @ rho @ op / 8
+        assert np.max(np.abs(out - direct)) <= 1e-12
 
     def test_trace_and_positivity_preserved(self, rng):
-        rho = DensityMatrix(2, random_density_matrix(rng, 2))
+        rho = random_density_matrix(rng, 2)
         out = apply_assignment(rho, {0: amplitude_damping(0.7), 1: phase_damping(0.2)})
-        assert abs(np.trace(out.mat) - 1.0) <= 1e-11
-        assert np.linalg.eigvalsh(out.mat)[0] >= -1e-10
+        assert abs(np.trace(out) - 1.0) <= 1e-11
+        assert np.linalg.eigvalsh(out)[0] >= -1e-10
 
     def test_zero_rate_channels_are_identity(self, rng):
-        rho = DensityMatrix(2, random_density_matrix(rng, 2))
+        rho = random_density_matrix(rng, 2)
         out = apply_assignment(rho, {q: f(0.0) for q in range(2) for f in [bit_flip]})
-        assert np.max(np.abs(out.mat - rho.mat)) <= 1e-15
+        assert np.max(np.abs(out - rho)) <= 1e-15
 
     def test_invalid_index(self, rng):
-        rho = DensityMatrix(1, random_density_matrix(rng, 1))
+        rho = random_density_matrix(rng, 1)
         with pytest.raises(ValueError):
             apply_assignment(rho, {3: bit_flip(0.1)})
 

@@ -292,6 +292,38 @@ class TestHostileInputs:
             capsys,
         )
 
+    def test_directory_as_registry(self, capsys, tmp_path):
+        err = self.refused(["--registry", str(tmp_path), "validate"], capsys)
+        assert "Is a directory" in err
+
+    def test_directory_as_output(self, capsys, tmp_path):
+        err = self.refused(
+            ["curve", "--gate", "identity", "--channel", "dephasing", "--qubit", "1",
+             "-o", str(tmp_path)],
+            capsys,
+        )
+        assert "Is a directory" in err
+
+    def test_directory_as_json_channel(self, capsys, tmp_path):
+        folder = tmp_path / "somedir.json"
+        folder.mkdir()
+        err = self.refused(
+            ["eval", "--gate", "identity", "--channel", str(folder), "--qubit", "1"], capsys
+        )
+        assert "Is a directory" in err
+
+    def test_registry_n_above_capacity_fails_before_building_labels(self, capsys, tmp_path):
+        from importlib import resources
+
+        text = resources.files("clusterfid").joinpath("data/patterns.txt").read_text()
+        bad = tmp_path / "registry.txt"
+        bad.write_text(text.replace("n 7\n", "n 3000000\n", 1))
+        start = time.perf_counter()
+        code, out, err = run(["--registry", str(bad), "validate"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert re.match(r"capacity error: line \d+: 3000000 qubits exceeds", err)
+
     @pytest.mark.parametrize("rate", [float("nan"), -5, 2])
     def test_json_channel_error_rate_outside_unit_interval(self, rate, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -332,6 +364,8 @@ class TestHostileInputs:
         ("e 0 1\n", "e 0 0\n", "self-loop at vertex 0"),
         ("e 0 1\n", "e 0 1\ne 1 0\n", "repeated edge (1,0), first given on line 32"),
         ("e 0 1\n", "e 0 1\ne 0 1\n", "repeated edge (0,1), first given on line 32"),
+        ("n 7\n", "n 0\n", "'n' must be at least 1, got 0"),
+        ("n 7\n", "n -3\n", "'n' must be at least 1, got -3"),
     ])
     def test_malformed_registry_line(self, line, changed, message, capsys, tmp_path):
         from importlib import resources

@@ -220,7 +220,7 @@ def _unpermuted_walk(pattern, theta, rho):
     measured qubit's index, then a trace of the measured qubits written
     out highest index first."""
     order = pattern.measure_order
-    n = rho.num_qubits
+    n = pattern.graph.num_vertices
     kept = sorted(pattern.to_index(lab) for lab in pattern.kept_labels)
     eye2 = np.eye(2, dtype=complex)
 
@@ -244,7 +244,7 @@ def _unpermuted_walk(pattern, theta, rho):
             proj = (eye2 + (-1) ** bit * op) / 2.0
             yield from walk(conjugate_on_qubit(mat, proj, qubit, n), {**outcomes, label: bit})
 
-    yield from walk(rho.mat, {})
+    yield from walk(rho, {})
 
 
 @pytest.mark.parametrize("gate", [

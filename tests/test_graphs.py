@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterfid.engine import CapacityError, expectation
 from clusterfid.graphs import (
@@ -11,6 +13,7 @@ from clusterfid.graphs import (
     cluster_state_projector_product,
     stabilizer,
 )
+from clusterfid.patterns import CONTROLLED_Z, HADAMARD, IDENTITY, default_registry, z_rotation
 
 
 class TestGraph:
@@ -90,9 +93,6 @@ class TestPauliString:
             b = PauliString("".join(rng.choice(list(letters), size=3)))
             assert np.allclose((a * b).matrix(), a.matrix() @ b.matrix())
 
-    def test_support(self):
-        assert PauliString("IZXI").support() == frozenset({1, 2})
-
 
 def _all_graphs(n):
     pairs = list(itertools.combinations(range(n), 2))
@@ -103,13 +103,13 @@ def _all_graphs(n):
 class TestClusterState:
     def test_single_vertex_is_plus(self):
         rho = build_cluster_state(Graph(1))
-        assert np.allclose(rho.mat, np.full((2, 2), 0.5))
+        assert np.allclose(rho, np.full((2, 2), 0.5))
 
     def test_two_vertex_chain_matches_projector_oracle(self):
         g = Graph.chain(2)
         a = build_cluster_state(g)
         b = cluster_state_projector_product(g)
-        assert np.max(np.abs(a.mat - b.mat)) <= 1e-10
+        assert np.max(np.abs(a - b)) <= 1e-10
         for i in range(2):
             assert np.isclose(expectation(a, stabilizer(g, i).matrix()), 1.0)
 
@@ -121,7 +121,7 @@ class TestClusterState:
 
     def test_purity(self):
         rho = build_cluster_state(Graph.chain(4))
-        assert abs(np.trace(rho.mat @ rho.mat).real - 1.0) <= 1e-10
+        assert abs(np.trace(rho @ rho).real - 1.0) <= 1e-10
 
     def test_stabilizers_commute_and_fix_state(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -130,14 +130,14 @@ class TestClusterState:
         for a, b in itertools.combinations(ks, 2):
             assert np.max(np.abs(a @ b - b @ a)) <= 1e-12
         for k in ks:
-            assert np.max(np.abs(k @ rho.mat @ k - rho.mat)) <= 1e-10
+            assert np.max(np.abs(k @ rho @ k - rho)) <= 1e-10
 
     def test_constructions_agree_exhaustive_small(self):
         for n in range(1, 5):
             for g in _all_graphs(n):
                 a = build_cluster_state(g)
                 b = cluster_state_projector_product(g)
-                assert np.max(np.abs(a.mat - b.mat)) <= 1e-10
+                assert np.max(np.abs(a - b)) <= 1e-10
 
     def test_constructions_agree_sampled_five_and_six(self, rng):
         for n in (5, 6):
@@ -147,8 +147,35 @@ class TestClusterState:
                 g = Graph.from_edges(n, chosen)
                 a = build_cluster_state(g)
                 b = cluster_state_projector_product(g)
-                assert np.max(np.abs(a.mat - b.mat)) <= 1e-10
+                assert np.max(np.abs(a - b)) <= 1e-10
 
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):
             build_cluster_state(Graph.chain(13))
+
+
+@st.composite
+def _simple_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, on in zip(pairs, chosen) if on])
+
+
+def _assert_read_only(mat):
+    assert not mat.flags.writeable
+    with pytest.raises(ValueError):
+        mat[0, 0] = 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_simple_graphs(), st.sampled_from([IDENTITY, HADAMARD, z_rotation(0.7), CONTROLLED_Z]))
+def test_random_graph_cluster_states(g, gate):
+    circuit = build_cluster_state(g)
+    product = cluster_state_projector_product(g)
+    assert np.max(np.abs(circuit - product)) <= 1e-12
+    for i in range(g.num_vertices):
+        assert abs(expectation(circuit, stabilizer(g, i).matrix()) - 1.0) <= 1e-12
+    registry = default_registry()
+    for mat in (circuit, product, registry.cluster_state(gate), registry.witness_for(gate)):
+        _assert_read_only(mat)

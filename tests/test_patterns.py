@@ -91,18 +91,18 @@ class TestWitness:
         k = {i: stabilizer(g, i).matrix() for i in range(7)}
         eye = np.eye(2**7)
         expected = (eye + k[1] @ k[3] @ k[5]) / 2 @ (eye + k[2] @ k[4]) / 2
-        assert np.max(np.abs(registry.witness_for(IDENTITY).matrix - expected)) <= 1e-12
+        assert np.max(np.abs(registry.witness_for(IDENTITY) - expected)) <= 1e-12
 
     def test_hadamard_witness_matches_hand_built_operator(self, registry):
         g = registry.pattern_for(HADAMARD).graph
         k = {i: stabilizer(g, i).matrix() for i in range(7)}
         eye = np.eye(2**7)
         expected = (eye + k[1] @ k[3] @ k[5]) / 2 @ (eye + k[2] @ k[4] @ k[6]) / 2
-        assert np.max(np.abs(registry.witness_for(HADAMARD).matrix - expected)) <= 1e-12
+        assert np.max(np.abs(registry.witness_for(HADAMARD) - expected)) <= 1e-12
 
     def test_zrot_at_zero_reduces_to_identity_witness(self, registry):
-        wz = registry.witness_for(z_rotation(0.0)).matrix
-        wi = registry.witness_for(IDENTITY).matrix
+        wz = registry.witness_for(z_rotation(0.0))
+        wi = registry.witness_for(IDENTITY)
         assert np.max(np.abs(wz - wi)) <= 1e-12
 
     def test_zrot_factor_structure(self, registry):
@@ -127,7 +127,7 @@ class TestWitness:
         product = factors[0]
         for m in factors[1:]:
             product = product @ m
-        assert np.array_equal(product, registry.witness_for(gate).matrix)
+        assert np.array_equal(product, registry.witness_for(gate))
 
     def test_zrot_continuity_in_theta(self, registry):
         # fixed noisy state; F must move by O(delta) under a tiny angle change
@@ -144,7 +144,7 @@ class TestWitness:
         results = []
 
         def worker():
-            results.append(reg.witness_for(z_rotation(0.432)).matrix)
+            results.append(reg.witness_for(z_rotation(0.432)))
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for t in threads:
