@@ -163,7 +163,8 @@ def apply_assignment(mat: np.ndarray, assignment: NoiseAssignment) -> np.ndarray
 
     Channels on distinct qubits commute, so the iteration order cannot
     change the result; qubits are visited in ascending order anyway to keep
-    rounding deterministic.
+    rounding deterministic. An empty assignment returns a read-only view of
+    ``mat`` itself, not a copy.
     """
     n = mat.shape[0].bit_length() - 1
     for q in sorted(assignment):

@@ -2,22 +2,21 @@
 
 Run from the root of a checkout (the package is imported from its ``src/``):
 
-    python3 tools/exactness_digest.py [--seed 1]
+    python3 tools/exactness_digest.py
 
 - ``values``:  the ``float.hex`` of the formula and oracle ``raw_value`` and
   of every oracle branch probability, for every qubit x 4 built-in channels
   x p in {0.1, 0.3, 0.5, 1.0} on identity, Hadamard, zrot (theta = pi/4 and
-  1.1) and cz, then for 100 seeded multi-qubit assignments.
+  1.1) and cz, then for 100 multi-qubit assignments drawn from ``SEED``.
 - ``witness``: the bytes of each of those gates' witness matrix.
 - ``demos``:   the stdout of every script under ``demos/``.
 
-Two checkouts that print the same three lines for the same seed compute the
-same numbers, witnesses and demo output. It takes a minute or two.
+Two checkouts that print the same three lines compute the same numbers,
+witnesses and demo output. It takes a minute or two.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import math
 import os
@@ -44,16 +43,17 @@ from clusterfid import (  # noqa: E402
 GATES = [IDENTITY, HADAMARD, z_rotation(math.pi / 4), z_rotation(1.1), CONTROLLED_Z]
 RATES = (0.1, 0.3, 0.5, 1.0)
 SEEDED_ASSIGNMENTS = 100
+SEED = 1
 
 
-def assignments(registry, seed):
+def assignments(registry):
     """``(gate, assignment)``: the single-qubit grid, then the seeded multi-qubit set."""
     for gate in GATES:
         for label in registry.pattern_for(gate).labels:
             for family in BUILTIN_CHANNELS.values():
                 for p in RATES:
                     yield gate, {label: family(p)}
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     families = list(BUILTIN_CHANNELS.values())
     for _ in range(SEEDED_ASSIGNMENTS):
         gate = GATES[int(rng.integers(len(GATES)))]
@@ -65,9 +65,9 @@ def assignments(registry, seed):
         }
 
 
-def values_digest(registry, seed) -> str:
+def values_digest(registry) -> str:
     h = hashlib.sha256()
-    for gate, assignment in assignments(registry, seed):
+    for gate, assignment in assignments(registry):
         formula = fidelity_formula(gate, assignment, registry)
         oracle, probs = mbqc_oracle(
             gate, assignment, registry, return_branch_probabilities=True
@@ -100,11 +100,8 @@ def demos_digest() -> str:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1, help="seed of the multi-qubit assignments")
-    args = parser.parse_args()
     registry = load_registry()
-    print(f"values  {values_digest(registry, args.seed)}")
+    print(f"values  {values_digest(registry)}")
     print(f"witness {witness_digest(registry)}")
     print(f"demos   {demos_digest()}")
 
