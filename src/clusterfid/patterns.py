@@ -199,7 +199,7 @@ _WITNESS_GROUPS = {
 
 
 class PatternRegistry:
-    """Immutable pattern store with a per-(gate, theta) witness cache."""
+    """Immutable pattern store with a witness cache that keeps each gate's latest theta."""
 
     def __init__(self, patterns: dict):
         for pat in patterns.values():
@@ -208,7 +208,7 @@ class PatternRegistry:
         if missing:
             raise ValueError(f"registry is missing patterns: {', '.join(missing)}")
         self._patterns = dict(patterns)
-        self._witness_cache: dict = {}
+        self._witness_cache: dict = {}   # gate kind -> (theta, witness)
         self._cluster_cache: dict = {}
 
     def pattern_for(self, gate: GateKind) -> MeasurementPattern:
@@ -222,11 +222,17 @@ class PatternRegistry:
         return self._cluster_cache[key]
 
     def witness_for(self, gate: GateKind) -> np.ndarray:
-        """The (cached, read-only) witness: the product of its factors, in order."""
-        key = (gate.kind, gate.theta)
-        if key not in self._witness_cache:
-            self._witness_cache[key] = self._build_witness(gate)
-        return self._witness_cache[key]
+        """The (cached, read-only) witness: the product of its factors, in order.
+
+        Only the latest theta is kept per gate kind, so an angle sweep holds
+        one witness, not one per angle.
+        """
+        theta, witness = self._witness_cache.pop(gate.kind, (None, None))
+        if theta != gate.theta:
+            del witness  # free the old angle's witness before building this one
+            witness = self._build_witness(gate)
+        self._witness_cache[gate.kind] = (gate.theta, witness)
+        return witness
 
     def witness_factors(self, gate: GateKind) -> Iterator[WitnessFactor]:
         """Build the witness's factors one at a time, in product order.

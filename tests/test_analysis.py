@@ -1,15 +1,34 @@
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterfid.analysis import (
     DEFAULT_GRID,
+    IMMUNITY_ATOL,
     compare_patterns,
     immunity_scan,
     initial_slope,
     sweep_curve,
 )
-from clusterfid.channels import amplitude_damping, bit_flip, dephasing, phase_damping
-from clusterfid.patterns import CONTROLLED_Z, HADAMARD, IDENTITY, z_rotation
+from clusterfid.channels import (
+    BUILTIN_CHANNELS,
+    amplitude_damping,
+    bit_flip,
+    dephasing,
+    phase_damping,
+)
+from clusterfid.fidelity import fidelity_formula
+from clusterfid.patterns import (
+    CONTROLLED_Z,
+    HADAMARD,
+    IDENTITY,
+    default_registry,
+    z_rotation,
+)
 
 ALL_GATES = [IDENTITY, HADAMARD, z_rotation(0.7853981633974483), CONTROLLED_Z]
 
@@ -63,6 +82,27 @@ class TestSweep:
             sweep_curve(IDENTITY, dephasing, ["1"], [0.0, 1.5], registry)
 
 
+@functools.cache
+def _immune_pairs(gate) -> frozenset:
+    return frozenset(immunity_scan(gate, default_registry()))
+
+
+@st.composite
+def _exposures(draw):
+    """A gate and some (label, channel, p) exposures of one qubit each.
+
+    A zrot angle near a multiple of pi/2, or a rate near 0, damps a pair by
+    less than IMMUNITY_ATOL without making it immune, so neither is drawn.
+    """
+    angles = st.floats(-math.pi, math.pi).filter(lambda t: abs(math.sin(2 * t)) >= 0.1)
+    gate = draw(st.sampled_from([IDENTITY, HADAMARD, CONTROLLED_Z]) | angles.map(z_rotation))
+    labels = default_registry().pattern_for(gate).labels
+    exposure = st.tuples(
+        st.sampled_from(labels), st.sampled_from(sorted(BUILTIN_CHANNELS)), st.floats(0.01, 1.0)
+    )
+    return gate, draw(st.lists(exposure, min_size=1, max_size=8))
+
+
 class TestImmunity:
     def test_identity_immune_set(self, registry):
         immune = set(immunity_scan(IDENTITY, registry))
@@ -81,15 +121,16 @@ class TestImmunity:
                 if pat.bases[lab].axis == "X":
                     assert (lab, "bitflip") in immune
 
-    def test_immunity_is_p_independent(self, registry):
-        from clusterfid.fidelity import fidelity_formula
-
-        for lab, name in immunity_scan(HADAMARD, registry):
-            family = {"bitflip": bit_flip, "dephasing": dephasing,
-                      "phasedamp": phase_damping, "ampdamp": amplitude_damping}[name]
-            for p in (0.25, 0.5, 0.75, 1.0):
-                res = fidelity_formula(HADAMARD, {lab: family(p)}, registry)
-                assert abs(res.raw_value - 1.0) <= 1e-9
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(_exposures())
+    def test_immunity_is_p_independent(self, case):
+        # the scan probes four rates; any other rate must sort every pair the same way
+        gate, exposures = case
+        registry = default_registry()
+        immune = _immune_pairs(gate)
+        for label, name, p in exposures:
+            f = fidelity_formula(gate, {label: BUILTIN_CHANNELS[name](p)}, registry).raw_value
+            assert (abs(f - 1.0) <= IMMUNITY_ATOL) == ((label, name) in immune)
 
 
 class TestSlopes:

@@ -70,24 +70,19 @@ class TestConjugateOnQubit:
         with pytest.raises(ValueError):
             conjugate_on_qubit(mat, X, 5, 2)
 
+    def test_identity_leaves_state_unchanged(self):
+        assert np.allclose(conjugate_on_qubit(PLUS, I2, 0, 1), PLUS)
 
-class TestApplyUnitary:
-    """A unitary on one qubit goes through ``conjugate_on_qubit``."""
-
-    def test_identity(self):
-        out = conjugate_on_qubit(PLUS, I2, 0, 1)
-        assert np.allclose(out, PLUS)
-
-    def test_x_flips_zero(self):
+    def test_x_maps_zero_to_one(self):
         assert np.allclose(conjugate_on_qubit(ZERO, X, 0, 1), ONE)
 
     @pytest.mark.parametrize("pauli", [X, Y, Z])
-    def test_pauli_involution(self, pauli, rng):
+    def test_pauli_applied_twice_restores_state(self, pauli, rng):
         rho = random_density_matrix(rng, 1)
         back = conjugate_on_qubit(conjugate_on_qubit(rho, pauli, 0, 1), pauli, 0, 1)
         assert np.allclose(back, rho)
 
-    def test_trace_preserved(self, rng):
+    def test_unitary_keeps_a_density_matrix(self, rng):
         rho = random_density_matrix(rng, 2)
         out = conjugate_on_qubit(rho, (X + Z) / np.sqrt(2), 0, 2)
         assert abs(np.trace(out) - 1) <= 1e-12

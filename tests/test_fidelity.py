@@ -28,6 +28,7 @@ from clusterfid.patterns import (
     HADAMARD,
     IDENTITY,
     default_registry,
+    load_registry,
     parse_registry_text,
     z_rotation,
 )
@@ -153,6 +154,88 @@ class TestCrossValidate:
         report = cross_validate(IDENTITY, assignments, registry)
         assert report.ok
         assert report.max_discrepancy <= 1e-9
+
+
+NOISE = {"1": dephasing(0.2)}
+
+
+def _counting_apply(monkeypatch) -> list:
+    """Record the assignment of each ``apply_assignment`` call the evaluators make."""
+    calls = []
+    apply = fidelity.apply_assignment
+
+    def counting(mat, assignment):
+        calls.append(assignment)
+        return apply(mat, assignment)
+
+    monkeypatch.setattr(fidelity, "apply_assignment", counting)
+    return calls
+
+
+class TestSharedNoisyState:
+    """The oracle walks the state of the registry's latest formula call, when it is the same."""
+
+    @pytest.mark.parametrize("gate, noise, own_registry, applies", [
+        (IDENTITY, NOISE, True, 1),
+        (IDENTITY, {"1": dephasing(0.2)}, True, 1),
+        (IDENTITY, {"1": dephasing(0.3)}, True, 2),
+        (IDENTITY, {"2": dephasing(0.2)}, True, 2),
+        (IDENTITY, {**NOISE, "3": dephasing(0.2)}, True, 2),
+        (IDENTITY, {"1": KrausChannel("dephasing", 0.2, bit_flip(0.2).operators)}, True, 2),
+        (HADAMARD, NOISE, True, 2),
+        (IDENTITY, NOISE, False, 2),
+    ], ids=[
+        "same channel", "equal operators", "other p", "other label", "extra qubit",
+        "same name and rate, other operators", "other gate kind", "other registry",
+    ])
+    def test_oracle_after_formula(self, registry, monkeypatch, gate, noise, own_registry, applies):
+        oracle_registry = registry if own_registry else load_registry()
+        mbqc_oracle(gate, {}, oracle_registry)  # warm branch table
+        calls = _counting_apply(monkeypatch)
+        fidelity_formula(IDENTITY, NOISE, registry)
+        shared = mbqc_oracle(gate, noise, oracle_registry)
+        assert len(calls) == applies
+        # the oracle took the state out: the next call applies the channels itself
+        alone = mbqc_oracle(gate, noise, oracle_registry)
+        assert len(calls) == applies + 1
+        assert shared.raw_value == alone.raw_value
+
+    def test_oracle_alone_applies_the_channels(self, registry, monkeypatch):
+        mbqc_oracle(IDENTITY, NOISE, registry)
+        calls = _counting_apply(monkeypatch)
+        mbqc_oracle(IDENTITY, NOISE, registry)
+        mbqc_oracle(IDENTITY, NOISE, registry)
+        assert len(calls) == 2
+
+    def test_cold_branch_table_drops_the_stored_state(self, monkeypatch):
+        fresh = load_registry()
+        calls = _counting_apply(monkeypatch)
+        fidelity_formula(IDENTITY, NOISE, fresh)
+        mbqc_oracle(IDENTITY, NOISE, fresh)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("gate", [
+        IDENTITY, HADAMARD, z_rotation(math.pi / 4), z_rotation(1.1), CONTROLLED_Z,
+    ], ids=str)
+    def test_sharing_changes_no_bit(self, registry, rng, monkeypatch, gate):
+        families = list(BUILTIN_CHANNELS.values())
+        labels = registry.pattern_for(gate).labels
+        mbqc_oracle(gate, {}, registry)  # warm branch table
+        calls = _counting_apply(monkeypatch)
+        for _ in range(4):
+            chosen = rng.choice(labels, size=int(rng.integers(1, 5)), replace=False)
+            assignment = {
+                str(lab): families[int(rng.integers(len(families)))](float(rng.uniform(0, 1)))
+                for lab in chosen
+            }
+            before = len(calls)
+            alone = mbqc_oracle(gate, assignment, registry, return_branch_probabilities=True)
+            formula = fidelity_formula(gate, assignment, registry)
+            shared = mbqc_oracle(gate, assignment, registry, return_branch_probabilities=True)
+            assert len(calls) - before == 2
+            assert shared[0].raw_value == alone[0].raw_value
+            assert shared[1] == alone[1]
+            assert fidelity_formula(gate, assignment, registry).raw_value == formula.raw_value
 
 
 class TestProperties:

@@ -2,7 +2,9 @@
 
 tracemalloc sees numpy's data buffers, so these bounds count the dense
 matrices that stay alive: the registry should keep one cluster state and one
-witness product per gate, and the oracle one walk over one copy of the state.
+witness product per gate, the witness of the latest angle only, plus the
+noisy state of its latest formula call until an oracle call takes it out;
+the oracle should walk one copy of the state.
 """
 
 import gc
@@ -52,3 +54,48 @@ def test_warm_oracle_walks_one_copy_of_the_state(gate):
     # one full matrix per walk level on the path, the root copy and the
     # noisy state being copied into it
     assert peak / state_bytes(registry, gate) <= k + 2.5
+
+
+def test_formulas_hold_one_noisy_state_per_registry():
+    registry = load_registry()
+
+    def formulas():
+        for gate in GATES:
+            for label in registry.pattern_for(gate).labels:
+                fidelity_formula(gate, {label: amplitude_damping(0.3)}, registry)
+
+    held, _ = traced(formulas)
+    # cluster state and witness per gate, and the last gate's noisy state
+    states = sum(2 * state_bytes(registry, gate) for gate in GATES)
+    assert held / (states + state_bytes(registry, GATES[-1])) <= 1.05
+
+
+@pytest.mark.parametrize("gate", GATES, ids=str)
+def test_oracle_takes_the_formula_state_out(gate):
+    registry = load_registry()
+    assignment = {registry.pattern_for(gate).labels[1]: amplitude_damping(0.3)}
+
+    def both():
+        fidelity_formula(gate, assignment, registry)
+        mbqc_oracle(gate, assignment, registry)
+
+    both()  # builds the cluster state, witness and branch table
+    held, _ = traced(both)
+    assert held / state_bytes(registry, gate) <= 0.1
+
+
+def test_angle_sweep_holds_one_witness():
+    registry = load_registry()
+    fidelity_formula(z_rotation(0.0), {}, registry)
+    held, _ = traced(lambda: [fidelity_formula(z_rotation(0.01 * k), {}, registry)
+                              for k in range(1, 101)])
+    assert held / state_bytes(registry, z_rotation(0.0)) <= 1.1
+
+
+def test_angle_sweep_holds_one_branch_table():
+    # a zrot branch table is about a fifth of a state
+    registry = load_registry()
+    mbqc_oracle(z_rotation(0.0), {}, registry)
+    held, _ = traced(lambda: [mbqc_oracle(z_rotation(0.1 * k), {}, registry)
+                              for k in range(1, 11)])
+    assert held / state_bytes(registry, z_rotation(0.0)) <= 0.5

@@ -68,10 +68,12 @@ def assignments(registry):
 def values_digest(registry) -> str:
     h = hashlib.sha256()
     for gate, assignment in assignments(registry):
-        formula = fidelity_formula(gate, assignment, registry)
+        # oracle first: it applies the channels itself rather than walking
+        # the state a preceding formula call left for it
         oracle, probs = mbqc_oracle(
             gate, assignment, registry, return_branch_probabilities=True
         )
+        formula = fidelity_formula(gate, assignment, registry)
         fields = [str(gate), formula.assignment, formula.raw_value.hex(), oracle.raw_value.hex()]
         fields += [p.hex() for p in probs]
         h.update((" ".join(fields) + "\n").encode())
