@@ -91,6 +91,18 @@ def _normalize_labels(gate: GateKind, registry: PatternRegistry, qubits: Iterabl
     return tuple(sorted(labels, key=pattern.to_index))
 
 
+def check_grid(grid: Sequence[float]) -> list:
+    """``grid`` as floats, refused unless nonempty, in [0, 1] and strictly increasing."""
+    grid = [float(p) for p in grid]
+    if not grid:
+        raise ValueError("grid must be nonempty")
+    if any(not 0 <= p <= 1 for p in grid):
+        raise ValueError("grid values must lie in [0, 1]")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be strictly increasing")
+    return grid
+
+
 def sweep_curve(
     gate: GateKind,
     channel_family: ChannelFamily,
@@ -101,13 +113,7 @@ def sweep_curve(
 ) -> FidelityCurve:
     """Fidelity versus error rate with ``channel_family(p)`` on every exposed qubit."""
     registry = registry or default_registry()
-    grid = [float(p) for p in grid]
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    if any(not 0 <= p <= 1 for p in grid):
-        raise ValueError("grid values must lie in [0, 1]")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly increasing")
+    grid = check_grid(grid)
     if method not in ("formula", "oracle"):
         raise ValueError(f"unknown method {method!r}")
     exposed = _normalize_labels(gate, registry, exposed)

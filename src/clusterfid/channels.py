@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .engine import conjugate_on_qubit, read_only
+from .engine import conjugate_on_qubit, permute_qubits, read_only
 
 COMPLETENESS_ATOL = 1e-12
 
@@ -165,13 +165,34 @@ def apply_assignment(mat: np.ndarray, assignment: NoiseAssignment) -> np.ndarray
     change the result; qubits are visited in ascending order anyway to keep
     rounding deterministic. An empty assignment returns a read-only view of
     ``mat`` itself, not a copy.
+
+    Every target is checked before any work is done. The channels then run
+    on a contiguous copy of the state whose qubit axes are permuted so the
+    noisy qubits lead, in ascending order, followed by the clean qubits in
+    ascending order: the i-th noisy qubit sits on axis i, where
+    ``conjugate_on_qubit`` is cheapest, and the result is permuted back.
+    When the noisy qubits already lead (every qubit noisy, say) the
+    permutation is the identity and nothing is copied.
+
+    The permutation only moves entries. A built-in channel's Kraus operators
+    have one real nonzero entry per row, so each entry they produce is one
+    rounded product on any axis, and the result is bitwise the one the
+    original axes give. A general operator sums two products per entry,
+    which the BLAS kernel behind ``matmul`` may round differently for the
+    new shapes, so there the result agrees only to rounding (about 1e-16).
     """
     n = mat.shape[0].bit_length() - 1
-    for q in sorted(assignment):
+    noisy = sorted(assignment)
+    for q in noisy:
         if not (0 <= q < n):
             raise ValueError(f"assignment targets qubit {q} outside 0..{n - 1}")
+    if not noisy:
+        return read_only(mat)
+    layout = noisy + [q for q in range(n) if q not in assignment]
+    mat = permute_qubits(mat, layout, n)
+    for axis, q in enumerate(noisy):
         acc = np.zeros_like(mat)
         for op in assignment[q].operators:
-            acc = acc + conjugate_on_qubit(mat, op, q, n)
+            acc = acc + conjugate_on_qubit(mat, op, axis, n)
         mat = acc
-    return read_only(mat)
+    return read_only(permute_qubits(mat, np.argsort(layout).tolist(), n))

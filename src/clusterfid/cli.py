@@ -103,17 +103,20 @@ def cmd_curve(args) -> int:
     registry = load_registry(args.registry)
     gate = _gate_from_args(args)
     family = channel_family(args.channel)
-    grid = _parse_grid(args.grid)
+    grid = analysis.check_grid(_parse_grid(args.grid))
     qubits = _exposed_qubits(args.qubit)
 
+    # Point by point, so that with both methods each oracle call walks the
+    # noisy state its formula call has just built.
     methods = ["formula", "oracle"] if args.method == "both" else [args.method]
-    per_qubit = {}
-    for q in qubits:
-        curves = [
-            analysis.sweep_curve(gate, family, [q], grid, registry, method=m)
+    values = {
+        (q, p): [
+            analysis.sweep_curve(gate, family, [q], [p], registry, method=m).points[0][1]
             for m in methods
         ]
-        per_qubit[q] = curves
+        for q in qubits
+        for p in grid
+    }
 
     lines = [
         "# clusterfid curve",
@@ -124,14 +127,11 @@ def cmd_curve(args) -> int:
     if len(qubits) > 1:
         header = "qubit," + header
     lines.append(header)
-    for q in qubits:
-        curves = per_qubit[q]
-        for i, p in enumerate(grid):
-            vals = [curve.points[i][1] for curve in curves]
-            row = f"{p:.10g}," + ",".join(f"{v:.12f}" for v in vals)
-            if len(qubits) > 1:
-                row = f"{q}," + row
-            lines.append(row)
+    for (q, p), vals in values.items():
+        row = f"{p:.10g}," + ",".join(f"{v:.12f}" for v in vals)
+        if len(qubits) > 1:
+            row = f"{q}," + row
+        lines.append(row)
     _write_lines(args.output, lines)
     return EXIT_OK
 

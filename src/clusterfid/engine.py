@@ -71,6 +71,17 @@ def embed(op: np.ndarray, targets: list[int], num_qubits: int) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(2**num_qubits, 2**num_qubits))
 
 
+def permute_qubits(mat: np.ndarray, layout: list, num_qubits: int) -> np.ndarray:
+    """``mat`` with qubit ``layout[i]`` on tensor axis i, on rows and columns alike.
+
+    The result is C-contiguous, so it is a copy unless the layout leaves
+    every qubit where it is. Only entries move, so no value changes.
+    """
+    n = num_qubits
+    t = mat.reshape((2,) * (2 * n)).transpose(list(layout) + [n + q for q in layout])
+    return np.ascontiguousarray(t).reshape(mat.shape)
+
+
 def conjugate_on_qubit(
     mat: np.ndarray, op: np.ndarray, qubit: int, num_qubits: int
 ) -> np.ndarray:
@@ -84,8 +95,10 @@ def conjugate_on_qubit(
     of ``2**qubit`` small matmuls on the row side and ``d * 2**qubit`` on
     the column side. On a 256x256 state (n = 8) a call takes about 1.3 ms
     on axis 0 and about 7 ms on axis 6 (2-core VM, OpenBLAS), so a caller
-    that can choose the axis, such as the branch oracle, should use the
-    leading ones.
+    that can choose the axis should use the leading ones. Both callers do:
+    the branch oracle projects on a copy with the measured qubits leading,
+    and channel application (``channels.apply_assignment``) conjugates on a
+    copy with the noisy qubits leading.
     """
     op = _as_matrix(op)
     if op.shape != (2, 2):

@@ -32,6 +32,7 @@ from .engine import (
     embed,
     expectation,
     partial_trace_raw,
+    permute_qubits,
 )
 from .channels import KrausChannel, apply_assignment
 from .patterns import GateKind, MeasurementPattern, PatternRegistry, default_registry
@@ -158,7 +159,6 @@ def _walk_branches(pattern: MeasurementPattern, theta: float, rho: np.ndarray):
     layout = measured + kept  # axis i of the walked copy holds qubit layout[i]
     axis_of = {label: measured.index(pattern.to_index(label)) for label in order}
     n = pattern.graph.num_vertices
-    dim = 2**n
     eye2 = np.eye(2, dtype=complex)
 
     def walk(mat, outcomes):
@@ -177,9 +177,8 @@ def _walk_branches(pattern: MeasurementPattern, theta: float, rho: np.ndarray):
                 conjugate_on_qubit(mat, proj, axis_of[label], n), {**outcomes, label: bit}
             )
 
-    t = rho.reshape((2,) * (2 * n)).transpose(layout + [n + q for q in layout])
-    mat = np.ascontiguousarray(t).reshape(dim, dim)
-    del rho, t  # the walk holds the permuted copy only, not the caller's state
+    mat = permute_qubits(rho, layout, n)
+    del rho  # the walk holds the permuted copy only, not the caller's state
     yield from walk(mat, {})
 
 

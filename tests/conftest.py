@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from clusterfid import default_registry
+from clusterfid.channels import KrausChannel
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +37,10 @@ def assert_density_matrix(mat, check_psd=False, atol=1e-10):
     assert abs(np.trace(mat) - 1.0) <= 1e-11
     if check_psd:
         assert np.linalg.eigvalsh(mat)[0] >= -atol
+
+
+def random_channel(entries) -> KrausChannel:
+    """A CPTP map from the QR of a 4x2 complex matrix: its isometry's two 2x2 blocks."""
+    g = np.array(entries[:8]).reshape(4, 2) + 1j * np.array(entries[8:]).reshape(4, 2)
+    q, _ = np.linalg.qr(g)
+    return KrausChannel("random", 0.0, (q[:2], q[2:]))

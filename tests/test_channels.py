@@ -3,7 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clusterfid import channels
 from clusterfid.channels import (
     BUILTIN_CHANNELS,
     KrausChannel,
@@ -16,8 +19,9 @@ from clusterfid.channels import (
     parse_channel_spec,
     phase_damping,
 )
+from clusterfid.engine import conjugate_on_qubit
 from clusterfid.graphs import Graph, build_cluster_state
-from conftest import pure_density, random_density_matrix
+from conftest import pure_density, random_channel, random_density_matrix
 
 ZERO = pure_density([1, 0])
 ONE = pure_density([0, 1])
@@ -155,6 +159,89 @@ class TestApplyAssignment:
         rho = random_density_matrix(rng, 1)
         with pytest.raises(ValueError):
             apply_assignment(rho, {3: bit_flip(0.1)})
+
+    @staticmethod
+    def record_axes(monkeypatch) -> list:
+        """The ``qubit`` argument of every ``conjugate_on_qubit`` call channels make."""
+        axes = []
+
+        def recording(mat, op, qubit, num_qubits):
+            axes.append(qubit)
+            return conjugate_on_qubit(mat, op, qubit, num_qubits)
+
+        monkeypatch.setattr(channels, "conjugate_on_qubit", recording)
+        return axes
+
+    def test_channels_run_on_the_leading_axes(self, rng, monkeypatch):
+        axes = self.record_axes(monkeypatch)
+        assignment = {4: amplitude_damping(0.3), 1: dephasing(0.2), 3: bit_flip(0.1)}
+        apply_assignment(random_density_matrix(rng, 5), assignment)
+        # the i-th noisy qubit in ascending order sits on axis i, once per Kraus operator
+        assert axes == [0, 0, 1, 1, 2, 2]
+        assert all(axis < len(assignment) for axis in axes)
+
+    def test_out_of_range_target_fails_before_any_conjugation(self, rng, monkeypatch):
+        axes = self.record_axes(monkeypatch)
+        with pytest.raises(ValueError, match="qubit 5 outside 0..2"):
+            apply_assignment(random_density_matrix(rng, 3), {0: bit_flip(0.1), 5: bit_flip(0.1)})
+        assert axes == []
+
+    def test_empty_assignment_is_a_read_only_view(self, rng):
+        rho = random_density_matrix(rng, 3)
+        out = apply_assignment(rho, {})
+        assert np.shares_memory(out, rho) and not out.flags.writeable
+
+
+def _original_axes_reference(mat, assignment):
+    """Each channel on its qubit's own axis, qubits in ascending order."""
+    n = mat.shape[0].bit_length() - 1
+    for q in sorted(assignment):
+        acc = np.zeros_like(mat)
+        for op in assignment[q].operators:
+            acc = acc + conjugate_on_qubit(mat, op, q, n)
+        mat = acc
+    return mat
+
+
+def _builtin_channel():
+    families = st.sampled_from(list(BUILTIN_CHANNELS.values()))
+    return st.builds(lambda family, p: family(p), families, st.floats(0, 1))
+
+
+def _cptp_channel():
+    return st.lists(st.floats(-1, 1, allow_nan=False), min_size=16, max_size=16).map(random_channel)
+
+
+@st.composite
+def _states_and_assignments(draw, channel):
+    n = draw(st.integers(1, 8))
+    rho = random_density_matrix(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    qubits = draw(
+        st.sampled_from([[], [n - 1], list(range(n))])
+        | st.lists(st.integers(0, n - 1), unique=True)
+    )
+    return rho, {q: draw(channel) for q in qubits}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_states_and_assignments(_builtin_channel()))
+def test_leading_axis_layout_is_bitwise_the_original_axes(case):
+    rho, assignment = case
+    out = apply_assignment(rho, assignment)
+    assert np.array_equal(out, _original_axes_reference(rho, assignment))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_states_and_assignments(_builtin_channel() | _cptp_channel()))
+def test_leading_axis_layout_matches_general_channels_to_rounding(case):
+    # a general Kraus operator sums two products per entry, which BLAS may
+    # round differently on the permuted shapes; with the noisy qubits
+    # already leading nothing is permuted, so the result is bitwise the same
+    rho, assignment = case
+    out, ref = apply_assignment(rho, assignment), _original_axes_reference(rho, assignment)
+    assert np.max(np.abs(out - ref)) <= 1e-15
+    if sorted(assignment) == list(range(len(assignment))):
+        assert np.array_equal(out, ref)
 
 
 class TestSpecParsing:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from clusterfid import fidelity
 from clusterfid.cli import MAX_GRID_POINTS, _parse_grid, main
 from clusterfid.patterns import CONTROLLED_Z
 
@@ -12,6 +13,22 @@ from clusterfid.patterns import CONTROLLED_Z
 RECORDED = json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "reference.json").read_text()
 )["cli"]
+
+
+#: ``curve --method both`` on two qubits, recorded when each method swept its whole
+#: curve in turn: evaluating point by point must not change a byte.
+CZ_BOTH_CURVE = """\
+# clusterfid curve
+# gate: cz  channel: ampdamp  method: both
+# qubits: b_in,4  grid: 0.1:0.5:0.2
+qubit,p,fidelity,fidelity_oracle
+b_in,0.1,0.949341649025,0.949341649025
+b_in,0.3,0.843330013267,0.843330013267
+b_in,0.5,0.728553390593,0.728553390593
+4,0.1,0.974341649025,0.974341649025
+4,0.3,0.918330013267,0.918330013267
+4,0.5,0.853553390593,0.853553390593
+"""
 
 
 def run(argv, capsys):
@@ -60,6 +77,32 @@ class TestCurve:
         for row in rows[1:]:
             _, f, o = row.split(",")
             assert abs(float(f) - float(o)) <= 1e-9
+
+    def test_method_both_applies_the_channels_once_per_grid_point(self, capsys, monkeypatch):
+        calls = []
+        apply = fidelity.apply_assignment
+        monkeypatch.setattr(
+            fidelity, "apply_assignment", lambda *args: calls.append(args) or apply(*args)
+        )
+        code, _, _ = run(
+            ["curve", "--gate", "hadamard", "--channel", "ampdamp", "--qubit", "2,4",
+             "--grid", "0:0.5:0.25", "--method", "both"],
+            capsys,
+        )
+        assert code == 0
+        # each oracle point walks its formula point's state, except the first:
+        # the fresh registry builds its branch table there, which drops the state
+        assert len(calls) == 2 * 3 + 1
+
+    def test_method_both_multi_qubit_file_matches_recorded_bytes(self, capsys, tmp_path):
+        out_file = tmp_path / "both.csv"
+        code, out, _ = run(
+            ["curve", "--gate", "cz", "--channel", "ampdamp", "--qubit", "b_in,4",
+             "--grid", "0.1:0.5:0.2", "--method", "both", "-o", str(out_file)],
+            capsys,
+        )
+        assert code == 0 and out == ""
+        assert out_file.read_bytes() == CZ_BOTH_CURVE.encode()
 
     def test_multi_qubit_adds_qubit_column(self, capsys, tmp_path):
         out_file = tmp_path / "multi.csv"
@@ -251,7 +294,9 @@ class TestHostileInputs:
         assert code == 2 and out == "" and err.startswith("error:")
         return err
 
-    @pytest.mark.parametrize("grid", ["0:0.5:nan", "0:inf:0.1", "0:1:1e-12"])
+    @pytest.mark.parametrize(
+        "grid", ["0:0.5:nan", "0:inf:0.1", "0:1:1e-12", "0:2:0.5", "0:1e-11:1e-13"]
+    )
     def test_hostile_grid(self, grid, capsys):
         for argv in (
             ["curve", "--gate", "identity", "--channel", "dephasing", "--qubit", "1"],

@@ -32,6 +32,7 @@ from clusterfid.patterns import (
     parse_registry_text,
     z_rotation,
 )
+from conftest import random_channel
 
 ALL_GATES = [IDENTITY, HADAMARD, z_rotation(0.7853981633974483), CONTROLLED_Z]
 
@@ -264,13 +265,6 @@ class TestProperties:
             assert -1e-9 <= res.raw_value <= 1 + 1e-9
 
 
-def _random_channel(entries) -> KrausChannel:
-    """A CPTP map from the QR of a 4x2 complex matrix: its isometry's two 2x2 blocks."""
-    g = np.array(entries[:8]).reshape(4, 2) + 1j * np.array(entries[8:]).reshape(4, 2)
-    q, _ = np.linalg.qr(g)
-    return KrausChannel("random", 0.0, (q[:2], q[2:]))
-
-
 @st.composite
 def _gates_and_assignments(draw):
     gate = draw(
@@ -281,7 +275,7 @@ def _gates_and_assignments(draw):
     chosen = draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
     entry = st.floats(-1, 1, allow_nan=False)
     return gate, {
-        lab: _random_channel(draw(st.lists(entry, min_size=16, max_size=16)))
+        lab: random_channel(draw(st.lists(entry, min_size=16, max_size=16)))
         for lab in chosen
     }
 

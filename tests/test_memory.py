@@ -4,7 +4,8 @@ tracemalloc sees numpy's data buffers, so these bounds count the dense
 matrices that stay alive: the registry should keep one cluster state and one
 witness product per gate, the witness of the latest angle only, plus the
 noisy state of its latest formula call until an oracle call takes it out;
-the oracle should walk one copy of the state.
+a formula call should peak at four states while it applies the channels; the
+oracle should walk one copy of the state.
 """
 
 import gc
@@ -54,6 +55,20 @@ def test_warm_oracle_walks_one_copy_of_the_state(gate):
     # one full matrix per walk level on the path, the root copy and the
     # noisy state being copied into it
     assert peak / state_bytes(registry, gate) <= k + 2.5
+
+
+@pytest.mark.parametrize("noisy", ["last qubit", "all qubits"])
+@pytest.mark.parametrize("gate", GATES, ids=str)
+def test_warm_formula_peaks_at_four_states(gate, noisy):
+    registry = load_registry()
+    pattern = registry.pattern_for(gate)
+    last = max(pattern.labels, key=pattern.to_index)
+    labels = pattern.labels if noisy == "all qubits" else [last]
+    assignment = {lab: amplitude_damping(0.3) for lab in labels}
+    fidelity_formula(gate, assignment, registry)  # builds the cluster state and witness
+    _, peak = traced(lambda: fidelity_formula(gate, assignment, registry))
+    # the state the channels run on, the running sum, one Kraus term and the next sum
+    assert peak / state_bytes(registry, gate) <= 4.1
 
 
 def test_formulas_hold_one_noisy_state_per_registry():
