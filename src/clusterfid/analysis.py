@@ -199,9 +199,12 @@ def compare_patterns(
 
     Protected qubits are noise-free; every other pattern qubit is exposed
     to ``channel_family(p)``. Returns both curves, the pointwise ordering,
-    and the initial slopes (which coincide: first-order damage does not
-    care which qubits are protected, only how many susceptible ones are
-    exposed).
+    and the initial slopes. A set's initial slope is the sum of its exposed
+    qubits' single-qubit slopes, so the two coincide only when the qubits
+    the sets swap have slopes that sum alike, as for Hadamard under
+    dephasing (README, ``demos/05_controlling_patterns.py``); for cz under
+    amplitude damping, protecting ``a_in,b_in`` or ``1,2`` gives -2.0 and
+    -2.5.
     """
     registry = registry or default_registry()
     pattern = registry.pattern_for(gate)

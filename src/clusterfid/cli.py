@@ -106,8 +106,6 @@ def cmd_curve(args) -> int:
     grid = analysis.check_grid(_parse_grid(args.grid))
     qubits = _exposed_qubits(args.qubit)
 
-    # Point by point, so that with both methods each oracle call walks the
-    # noisy state its formula call has just built.
     methods = ["formula", "oracle"] if args.method == "both" else [args.method]
     values = {
         (q, p): [

@@ -10,12 +10,9 @@ same branch of the noiseless run, which the same walk produces,
 averaging Tr(sigma_m sigma_m_ideal) under the noisy branch probabilities.
 The two must agree; ``cross_validate`` reports the worst difference.
 
-The oracle shares one thing with the formula beyond the engine and the
-registry: the noisy cluster state. ``fidelity_formula`` leaves the state it
-built in a one-slot store per registry, and the next ``mbqc_oracle`` call
-takes it out and walks it when the gate kind and every qubit's Kraus
-operators match; otherwise it applies the channels itself. Either way the
-state is ``apply_assignment`` of the same inputs, so no value changes.
+The two evaluators share the engine, the registry and ``apply_assignment``,
+but no intermediate: each applies the channels to the registry's pristine
+cluster state itself.
 """
 
 from __future__ import annotations
@@ -85,11 +82,6 @@ def resolve_assignment(pattern: MeasurementPattern, assignment: dict) -> dict:
     return resolved
 
 
-#: The latest formula call's noisy state per registry, for the oracle to walk:
-#: one ``(gate kind, resolved assignment, state)`` slot each.
-_noisy_states = weakref.WeakKeyDictionary()
-
-
 def fidelity_formula(
     gate: GateKind,
     assignment: dict | None = None,
@@ -100,9 +92,7 @@ def fidelity_formula(
     pattern = registry.pattern_for(gate)
     assignment = dict(assignment or {})
     resolved = resolve_assignment(pattern, assignment)
-    _noisy_states.pop(registry, None)  # hold no earlier state while this one is built
     rho = apply_assignment(registry.cluster_state(gate), resolved)
-    _noisy_states[registry] = (gate.kind, resolved, rho)
     val = expectation(rho, registry.witness_for(gate))
     if abs(val.imag) > 1e-10:
         raise ValueError(f"witness expectation has imaginary part {val.imag:.3e}")
@@ -116,20 +106,6 @@ def fidelity_formula(
 
 #: Branch tables per registry: gate kind -> (theta, rows), the latest theta only.
 _branch_tables = weakref.WeakKeyDictionary()
-
-
-def _kraus_bytes(resolved: dict) -> dict:
-    """Each noisy qubit's Kraus operators as bytes: equal ones act bit for bit alike."""
-    return {q: [op.tobytes() for op in channel.operators] for q, channel in resolved.items()}
-
-
-def _noisy_state(registry: PatternRegistry, gate: GateKind, resolved: dict) -> np.ndarray:
-    """Take the registry's stored formula state if it is this one, else build it."""
-    kind, noise, rho = _noisy_states.pop(registry, (None, None, None))
-    if kind == gate.kind and _kraus_bytes(noise) == _kraus_bytes(resolved):
-        return rho
-    del rho  # hold no other state while this one is built
-    return apply_assignment(registry.cluster_state(gate), resolved)
 
 
 def _walk_branches(pattern: MeasurementPattern, theta: float, rho: np.ndarray):
@@ -199,7 +175,6 @@ def _branches(registry: PatternRegistry, gate: GateKind) -> tuple:
     table = _branch_tables.setdefault(registry, {})
     theta, rows = table.get(gate.kind, (None, None))
     if theta != gate.theta:
-        _noisy_states.pop(registry, None)  # the clean walk holds no stored state
         pattern = registry.pattern_for(gate)
         clean = registry.cluster_state(gate)
         rows = []
@@ -224,9 +199,7 @@ def mbqc_oracle(
     """Exhaustive measurement-branch simulation of the pattern.
 
     Independent of the witness formulas: the only shared machinery is the
-    dense engine, the pattern registry itself, and the noisy state of the
-    registry's latest ``fidelity_formula`` call, which is walked when it has
-    the same gate kind and the same Kraus operators on the same qubits.
+    dense engine, channel application and the pattern registry itself.
     """
     registry = registry or default_registry()
     pattern = registry.pattern_for(gate)
@@ -235,7 +208,9 @@ def mbqc_oracle(
     # Build the branch table first, and pass the noisy state on unnamed, so
     # that one walk and one copy of the state are alive at a time.
     table = _branches(registry, gate)
-    noisy_walk = _walk_branches(pattern, gate.theta, _noisy_state(registry, gate, resolved))
+    noisy_walk = _walk_branches(
+        pattern, gate.theta, apply_assignment(registry.cluster_state(gate), resolved)
+    )
     total = 0.0
     probs = []
     branches = zip(noisy_walk, table, strict=True)

@@ -40,7 +40,11 @@ def assert_density_matrix(mat, check_psd=False, atol=1e-10):
 
 
 def random_channel(entries) -> KrausChannel:
-    """A CPTP map from the QR of a 4x2 complex matrix: its isometry's two 2x2 blocks."""
-    g = np.array(entries[:8]).reshape(4, 2) + 1j * np.array(entries[8:]).reshape(4, 2)
+    """A CPTP map from 8k real entries: the QR of a 2k x 2 complex matrix.
+
+    The isometry's k 2x2 blocks are the k Kraus operators.
+    """
+    half = len(entries) // 2
+    g = np.array(entries[:half]).reshape(-1, 2) + 1j * np.array(entries[half:]).reshape(-1, 2)
     q, _ = np.linalg.qr(g)
-    return KrausChannel("random", 0.0, (q[:2], q[2:]))
+    return KrausChannel("random", 0.0, tuple(q[i:i + 2] for i in range(0, len(q), 2)))

@@ -31,6 +31,25 @@ b_in,0.5,0.728553390593,0.728553390593
 """
 
 
+#: ``compare`` with six noisy qubits per set on cz, so that channels run on
+#: every qubit position; recorded before channels were applied by one
+#: ``apply_kraus`` pass per qubit, which must not change a byte.
+CZ_AMPDAMP_COMPARE = """\
+# clusterfid compare
+# gate: cz  channel: ampdamp
+# protect A: a_in,b_in  protect B: 1,2
+p,F_A,F_B
+0,1.000000000000,1.000000000000
+0.1,0.813381250000,0.772184860710
+0.2,0.652100000000,0.585196701120
+0.3,0.514131250000,0.434173581501
+0.4,0.397600000000,0.314787400463
+0.5,0.300781250000,0.223153972648
+protecting A dominates (F_A >= F_B at every grid point)
+initial slopes: A=-2.000000 B=-2.500000 (differ within 1e-06)
+"""
+
+
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -90,9 +109,9 @@ class TestCurve:
             capsys,
         )
         assert code == 0
-        # each oracle point walks its formula point's state, except the first:
-        # the fresh registry builds its branch table there, which drops the state
-        assert len(calls) == 2 * 3 + 1
+        # the formula and the oracle each apply a point's channels once:
+        # two qubits x three points x two evaluators
+        assert len(calls) == 2 * 3 * 2
 
     def test_method_both_multi_qubit_file_matches_recorded_bytes(self, capsys, tmp_path):
         out_file = tmp_path / "both.csv"
@@ -189,6 +208,15 @@ class TestCompare:
             assert float(fa) >= float(fb) - 1e-12
         assert "protecting A dominates" in out
         assert "A=-3.000000 B=-3.000000" in out and "match" in out
+
+    def test_many_noisy_qubits_match_recorded_bytes(self, capsys):
+        code, out, _ = run(
+            ["compare", "--gate", "cz", "--channel", "ampdamp", "--protectA", "a_in,b_in",
+             "--protectB", "1,2", "--grid", "0:0.5:0.1"],
+            capsys,
+        )
+        assert code == 0
+        assert out == CZ_AMPDAMP_COMPARE
 
     def test_equal_sets_identical_columns(self, capsys, tmp_path):
         out_file = tmp_path / "eq.csv"

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from clusterfid.engine import conjugate_on_qubit, embed, expectation, partial_trace_raw
+from clusterfid.engine import (
+    apply_kraus,
+    conjugate_on_qubit,
+    embed,
+    expectation,
+    partial_trace_raw,
+    read_only,
+)
 from conftest import assert_density_matrix, pure_density, random_density_matrix
 
 I2 = np.eye(2)
@@ -87,6 +94,36 @@ class TestConjugateOnQubit:
         out = conjugate_on_qubit(rho, (X + Z) / np.sqrt(2), 0, 2)
         assert abs(np.trace(out) - 1) <= 1e-12
         assert_density_matrix(out, check_psd=True)
+
+
+class TestApplyKraus:
+    def test_matches_sum_of_embedded_conjugations(self, rng):
+        # oracle: lift each operator and sum the dense conjugations
+        for n in (1, 2, 3, 4):
+            mat = read_only(random_density_matrix(rng, n))
+            for q in range(n):
+                for count in (1, 2, 3, 4):
+                    ops = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
+                    lifted = [embed(op, [q], n) for op in ops]
+                    direct = sum(k @ mat @ k.conj().T for k in lifted)
+                    assert np.max(np.abs(apply_kraus(mat, ops, q, n) - direct)) <= 1e-14
+
+    def test_blocks_no_operator_reaches_are_zero(self, rng):
+        # |0><1| alone reaches only the |0><0| block; a zero operator reaches none
+        lower = np.array([[0, 1], [0, 0]], dtype=complex)
+        mat = random_density_matrix(rng, 3)
+        for q in range(3):
+            lifted = embed(lower, [q], 3)
+            out = apply_kraus(mat, [lower, np.zeros((2, 2))], q, 3)
+            assert np.array_equal(out, lifted @ mat @ lifted.conj().T)
+            assert np.array_equal(apply_kraus(mat, [np.zeros((2, 2))], q, 3), np.zeros_like(mat))
+
+    def test_rejects_bad_args(self, rng):
+        mat = random_density_matrix(rng, 2)
+        with pytest.raises(ValueError):
+            apply_kraus(mat, [np.eye(4)], 0, 2)
+        with pytest.raises(ValueError):
+            apply_kraus(mat, [X], 2, 2)
 
 
 class TestExpectation:

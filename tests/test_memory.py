@@ -2,10 +2,9 @@
 
 tracemalloc sees numpy's data buffers, so these bounds count the dense
 matrices that stay alive: the registry should keep one cluster state and one
-witness product per gate, the witness of the latest angle only, plus the
-noisy state of its latest formula call until an oracle call takes it out;
-a formula call should peak at four states while it applies the channels; the
-oracle should walk one copy of the state.
+witness product per gate, the witness of the latest angle only, and no noisy
+state; a formula call should peak at three states while it applies the
+channels; the oracle should walk one copy of the state.
 """
 
 import gc
@@ -59,7 +58,7 @@ def test_warm_oracle_walks_one_copy_of_the_state(gate):
 
 @pytest.mark.parametrize("noisy", ["last qubit", "all qubits"])
 @pytest.mark.parametrize("gate", GATES, ids=str)
-def test_warm_formula_peaks_at_four_states(gate, noisy):
+def test_warm_formula_peaks_at_three_states(gate, noisy):
     registry = load_registry()
     pattern = registry.pattern_for(gate)
     last = max(pattern.labels, key=pattern.to_index)
@@ -67,11 +66,12 @@ def test_warm_formula_peaks_at_four_states(gate, noisy):
     assignment = {lab: amplitude_damping(0.3) for lab in labels}
     fidelity_formula(gate, assignment, registry)  # builds the cluster state and witness
     _, peak = traced(lambda: fidelity_formula(gate, assignment, registry))
-    # the state the channels run on, the running sum, one Kraus term and the next sum
-    assert peak / state_bytes(registry, gate) <= 4.1
+    # the state a channel runs on, its output and two quarter-size scratch
+    # buffers; then the noisy state and the witness product
+    assert peak / state_bytes(registry, gate) <= 3.1
 
 
-def test_formulas_hold_one_noisy_state_per_registry():
+def test_formulas_hold_only_cluster_states_and_witnesses():
     registry = load_registry()
 
     def formulas():
@@ -80,22 +80,16 @@ def test_formulas_hold_one_noisy_state_per_registry():
                 fidelity_formula(gate, {label: amplitude_damping(0.3)}, registry)
 
     held, _ = traced(formulas)
-    # cluster state and witness per gate, and the last gate's noisy state
     states = sum(2 * state_bytes(registry, gate) for gate in GATES)
-    assert held / (states + state_bytes(registry, GATES[-1])) <= 1.05
+    assert held / states <= 1.05
 
 
 @pytest.mark.parametrize("gate", GATES, ids=str)
-def test_oracle_takes_the_formula_state_out(gate):
+def test_formula_leaves_no_noisy_state(gate):
     registry = load_registry()
     assignment = {registry.pattern_for(gate).labels[1]: amplitude_damping(0.3)}
-
-    def both():
-        fidelity_formula(gate, assignment, registry)
-        mbqc_oracle(gate, assignment, registry)
-
-    both()  # builds the cluster state, witness and branch table
-    held, _ = traced(both)
+    fidelity_formula(gate, assignment, registry)  # builds the cluster state and witness
+    held, _ = traced(lambda: fidelity_formula(gate, assignment, registry))
     assert held / state_bytes(registry, gate) <= 0.1
 
 

@@ -68,8 +68,8 @@ def assignments(registry):
 def values_digest(registry) -> str:
     h = hashlib.sha256()
     for gate, assignment in assignments(registry):
-        # oracle first: it applies the channels itself rather than walking
-        # the state a preceding formula call left for it
+        # each evaluator applies the channels itself, so the order of the
+        # two calls does not matter
         oracle, probs = mbqc_oracle(
             gate, assignment, registry, return_branch_probabilities=True
         )
