@@ -124,7 +124,8 @@ def apply_kraus(
     and column bit, and each output block ``(c, e)`` is the sum over K, a
     and b of ``(K[c, a] * rho[a, b]) * conj(K[e, b])``, skipping zero
     entries of K. The work is elementwise, into one fresh output and two
-    quarter-size scratch buffers, so its cost barely depends on the axis.
+    quarter-size scratch buffers, so the qubit's position moves its cost
+    far less than it moves that of ``conjugate_on_qubit``.
 
     A built-in channel's Kraus operators have at most one nonzero entry per
     row, so each output entry is the same rounded product, summed over K in

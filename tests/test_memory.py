@@ -67,7 +67,8 @@ def test_warm_formula_peaks_at_three_states(gate, noisy):
     fidelity_formula(gate, assignment, registry)  # builds the cluster state and witness
     _, peak = traced(lambda: fidelity_formula(gate, assignment, registry))
     # the state a channel runs on, its output and two quarter-size scratch
-    # buffers; then the noisy state and the witness product
+    # buffers, then the noisy state and the witness product; numpy's own
+    # temporaries add up to half a state on the 7-qubit gates
     assert peak / state_bytes(registry, gate) <= 3.1
 
 
