@@ -106,16 +106,6 @@ def cmd_curve(args) -> int:
     grid = analysis.check_grid(_parse_grid(args.grid))
     qubits = _exposed_qubits(args.qubit)
 
-    methods = ["formula", "oracle"] if args.method == "both" else [args.method]
-    values = {
-        (q, p): [
-            analysis.sweep_curve(gate, family, [q], [p], registry, method=m).points[0][1]
-            for m in methods
-        ]
-        for q in qubits
-        for p in grid
-    }
-
     lines = [
         "# clusterfid curve",
         f"# gate: {gate}  channel: {args.channel}  method: {args.method}",
@@ -125,11 +115,14 @@ def cmd_curve(args) -> int:
     if len(qubits) > 1:
         header = "qubit," + header
     lines.append(header)
-    for (q, p), vals in values.items():
-        row = f"{p:.10g}," + ",".join(f"{v:.12f}" for v in vals)
-        if len(qubits) > 1:
-            row = f"{q}," + row
-        lines.append(row)
+    methods = ["formula", "oracle"] if args.method == "both" else [args.method]
+    for q in qubits:
+        curves = [analysis.sweep_curve(gate, family, [q], grid, registry, m) for m in methods]
+        for p, *vals in zip(grid, *(curve.fidelities() for curve in curves)):
+            row = f"{p:.10g}," + ",".join(f"{v:.12f}" for v in vals)
+            if len(qubits) > 1:
+                row = f"{q}," + row
+            lines.append(row)
     _write_lines(args.output, lines)
     return EXIT_OK
 
@@ -182,10 +175,11 @@ def cmd_compare(args) -> int:
         "crossing": "the curves cross",
     }[report.dominance]
     print(dom)
-    match = "match" if abs(report.slope_a - report.slope_b) <= analysis.SLOPE_ATOL else "differ"
+    differ = abs(report.slope_a - report.slope_b) > analysis.SLOPE_ATOL
+    match = "differ by more than" if differ else "match within"
     print(
         f"initial slopes: A={report.slope_a:.6f} B={report.slope_b:.6f} "
-        f"({match} within {analysis.SLOPE_ATOL:g})"
+        f"({match} {analysis.SLOPE_ATOL:g})"
     )
     return EXIT_OK
 

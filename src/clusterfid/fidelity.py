@@ -26,18 +26,13 @@ from .engine import (
     BRANCH_EPS,
     CapacityError,
     conjugate_on_qubit,
-    embed,
     expectation,
     partial_trace_raw,
     permute_qubits,
 )
 from .channels import KrausChannel, apply_assignment
+from .graphs import PauliString
 from .patterns import GateKind, MeasurementPattern, PatternRegistry, default_registry
-
-_PAULI_2 = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 DISCREPANCY_TOL = 1e-9
 
@@ -159,15 +154,15 @@ def _walk_branches(pattern: MeasurementPattern, theta: float, rho: np.ndarray):
 
 
 def _branch_correction(pattern: MeasurementPattern, outcomes: dict) -> np.ndarray:
+    """The byproduct Pauli on the kept qubits; each rule that fires multiplies from the left."""
     kept_indices = sorted(pattern.to_index(lab) for lab in pattern.kept_labels)
     m = len(kept_indices)
-    corr = np.eye(2**m, dtype=complex)
+    corr = PauliString.identity(m)
     for rule in pattern.byproducts:
-        parity = sum(outcomes[src] for src in rule.sources) % 2
-        if parity:
+        if sum(outcomes[src] for src in rule.sources) % 2:
             pos = kept_indices.index(pattern.to_index(rule.target))
-            corr = embed(_PAULI_2[rule.pauli], [pos], m) @ corr
-    return corr
+            corr = PauliString.single(m, pos, rule.pauli) * corr
+    return corr.matrix()
 
 
 def _branches(registry: PatternRegistry, gate: GateKind) -> tuple:

@@ -5,6 +5,10 @@ stabilizers ``K_i = X_i (x)_{j in N(i)} Z_j``, one per vertex. It can be
 prepared by the circuit ``prod_{(i,j) in E} CZ_ij |+>^n`` or, equivalently,
 as the normalized projector product ``prod_i (I + K_i)/2``; both
 constructors are provided so they can cross-check each other.
+
+A Pauli string is a signed permutation (Aaronson & Gottesman, PRA 70, 052328
+(2004)): ``PauliString.columns`` gives it, so its matrix is one scatter and
+a product with ``(1 + P)/2`` one row gather, with no Kronecker chain or GEMM.
 """
 
 from __future__ import annotations
@@ -14,13 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import MAX_QUBITS, CapacityError, read_only
-
-_PAULI_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 # single-site products: (left, right) -> (phase, letter)
 _PAULI_MUL = {
@@ -111,10 +108,37 @@ class PauliString:
                 letters.append(c)
         return PauliString("".join(letters), phase)
 
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, values)``: column c of the matrix holds ``values[c]`` at row ``rows[c]``.
+
+        X and Y flip their qubit's bit of c; Z and Y negate the column when it is set.
+        """
+        cols = np.arange(2**self.num_qubits)
+        rows, parity = cols.copy(), np.zeros_like(cols)
+        for q, c in enumerate(reversed(self.letters)):  # qubit 0 is the top bit
+            if c in "XY":
+                rows ^= 1 << q
+            if c in "ZY":
+                parity ^= (cols >> q) & 1
+        unit = self.phase * 1j ** self.letters.count("Y")
+        return rows, np.where(parity, -unit, unit)
+
     def matrix(self) -> np.ndarray:
-        out = np.array([[self.phase]], dtype=complex)
-        for c in self.letters:
-            out = np.kron(out, _PAULI_MATS[c])
+        rows, values = self.columns()
+        out = np.zeros((len(rows), len(rows)), dtype=complex)
+        out[rows, np.arange(len(rows))] = values
+        return out
+
+    def project(self, mat: np.ndarray) -> np.ndarray:
+        """``(1 + P)/2 @ mat`` by a row gather, rounding each entry once as a GEMM does.
+
+        Row i of ``P @ mat`` is row ``rows[i]`` of ``mat`` times ``values[rows[i]]``.
+        """
+        rows, values = self.columns()
+        out = mat[rows]
+        out *= values[rows, None]
+        out += mat
+        out /= 2.0
         return out
 
     def __str__(self):
@@ -156,10 +180,8 @@ def cluster_state_projector_product(g: Graph) -> np.ndarray:
     n = g.num_vertices
     if n > MAX_QUBITS:
         raise CapacityError(f"{n} qubits exceeds the engine limit of {MAX_QUBITS}")
-    dim = 2**n
-    m = np.eye(dim, dtype=complex)
-    for i in range(n):
-        ki = stabilizer(g, i).matrix()
-        m = m @ (np.eye(dim, dtype=complex) + ki) / 2.0
+    m = np.eye(2**n, dtype=complex)
+    for i in reversed(range(n)):
+        m = stabilizer(g, i).project(m)
     tr = np.trace(m).real
     return read_only(m / tr)

@@ -19,7 +19,8 @@ built here from the pattern's stabilizers:
 - controlled-Z: (1 + K_a_in K3 K_a_out)/2 (1 + K_b_in K4 K_b_out)/2
                 (1 + K1 K4)/2 (1 + K2 K3)/2
 
-where K_l is the cluster stabilizer of the vertex labeled ``l``. The
+where K_l is the cluster stabilizer of the vertex labeled ``l``. The product
+is built from the last factor back, each (1 + S)/2 by a row gather. The
 expectation of the witness on the noisy pre-measurement cluster state
 equals the branch-averaged gate fidelity; ``cli.cmd_validate`` and the test
 suite hold the registry to that via the independent branch oracle.
@@ -242,46 +243,53 @@ class PatternRegistry:
         """
         pat = self.pattern_for(gate)
         for labels in _WITNESS_GROUPS[gate.kind]:
-            yield self._projector_factor(pat, labels)
+            eye = np.eye(2**pat.graph.num_vertices, dtype=complex)
+            yield WitnessFactor(labels, self._stabs(pat, labels).project(eye))
         if gate.kind == "zrot":
             yield self._rotation_factor(pat, gate.theta)
 
     # -- witness construction ------------------------------------------------
 
-    def _stab(self, pat: MeasurementPattern, label: str) -> PauliString:
-        return stabilizer(pat.graph, pat.to_index(label))
-
-    def _projector_factor(self, pat: MeasurementPattern, labels: tuple) -> WitnessFactor:
+    def _stabs(self, pat: MeasurementPattern, labels: tuple) -> PauliString:
+        """The product of the labelled vertices' cluster stabilizers, in order."""
         prod = PauliString.identity(pat.graph.num_vertices)
         for lab in labels:
-            prod = prod * self._stab(pat, lab)
-        dim = 2**pat.graph.num_vertices
-        mat = (np.eye(dim, dtype=complex) + prod.matrix()) / 2.0
-        return WitnessFactor(tuple(labels), mat)
+            prod = prod * stabilizer(pat.graph, pat.to_index(lab))
+        return prod
 
     def _build_witness(self, gate: GateKind) -> np.ndarray:
-        factors = self.witness_factors(gate)
-        combined = next(factors).matrix
-        for fac in factors:
-            combined = combined @ fac.matrix
+        """The product of the factors, from the last back, each (1 + S)/2 by a row gather."""
+        pat = self.pattern_for(gate)
+        if gate.kind == "zrot":
+            combined = self._rotation_factor(pat, gate.theta).matrix
+        else:
+            combined = np.eye(2**pat.graph.num_vertices, dtype=complex)
+        for labels in reversed(_WITNESS_GROUPS[gate.kind]):
+            combined = self._stabs(pat, labels).project(combined)
         return read_only(combined)
 
     def _rotation_factor(self, pat: MeasurementPattern, theta: float) -> WitnessFactor:
-        """The angle-dependent factor of the Z-rotation witness."""
+        """The angle-dependent factor of the Z-rotation witness.
+
+        Its four Pauli terms are added onto the identity by scatters; the two
+        that share a scale differ by K4, so they never meet on an entry.
+        """
         c, s = np.cos(theta), np.sin(theta)
         n = pat.graph.num_vertices
-        dim = 2**n
-        k = {lab: self._stab(pat, lab) for lab in ("1", "2", "3", "4", "5")}
         zyz = (
             PauliString.single(n, pat.to_index("0"), "Z")
             * PauliString.single(n, pat.to_index("1"), "Y")
             * PauliString.single(n, pat.to_index("2"), "Z")
         )
-        eye = np.eye(dim, dtype=complex)
-        k4 = k["4"].matrix()
-        k135 = (k["1"] * k["3"] * k["5"]).matrix()
-        swing = (zyz * k["2"] * k["3"]).matrix() @ (eye - k4) @ k["5"].matrix()
-        mat = (eye + k135 @ (c * c * eye + s * s * k4) + c * s * swing) / 2.0
+        a, k135 = zyz * self._stabs(pat, ("2", "3")), self._stabs(pat, ("1", "3", "5"))
+        k4, k5 = self._stabs(pat, ("4",)), self._stabs(pat, ("5",))
+        cols = np.arange(2**n)
+        mat = np.eye(2**n, dtype=complex)
+        terms = [(k135, c * c), (k135 * k4, s * s), (a * k5, c * s), (a * k4 * k5, -c * s)]
+        for pauli, scale in terms:
+            rows, values = pauli.columns()
+            mat[rows, cols] += scale * values
+        mat /= 2.0
         return WitnessFactor(("1", "2", "3", "4", "5"), mat)
 
 

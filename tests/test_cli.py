@@ -16,7 +16,7 @@ RECORDED = json.loads(
 
 
 #: ``curve --method both`` on two qubits, recorded when each method swept its whole
-#: curve in turn: evaluating point by point must not change a byte.
+#: curve in turn; point-by-point evaluation gave the same bytes, and so must any layout.
 CZ_BOTH_CURVE = """\
 # clusterfid curve
 # gate: cz  channel: ampdamp  method: both
@@ -33,7 +33,8 @@ b_in,0.5,0.728553390593,0.728553390593
 
 #: ``compare`` with six noisy qubits per set on cz, so that channels run on
 #: every qubit position; recorded before channels were applied by one
-#: ``apply_kraus`` pass per qubit, which must not change a byte.
+#: ``apply_kraus`` pass per qubit, which must not change a byte. The last
+#: line was re-recorded when differing slopes stopped printing "differ within".
 CZ_AMPDAMP_COMPARE = """\
 # clusterfid compare
 # gate: cz  channel: ampdamp
@@ -46,7 +47,7 @@ p,F_A,F_B
 0.4,0.397600000000,0.314787400463
 0.5,0.300781250000,0.223153972648
 protecting A dominates (F_A >= F_B at every grid point)
-initial slopes: A=-2.000000 B=-2.500000 (differ within 1e-06)
+initial slopes: A=-2.000000 B=-2.500000 (differ by more than 1e-06)
 """
 
 

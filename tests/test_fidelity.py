@@ -1,3 +1,4 @@
+import itertools
 import math
 from importlib import resources
 
@@ -15,7 +16,7 @@ from clusterfid.channels import (
     bit_flip,
     dephasing,
 )
-from clusterfid.engine import conjugate_on_qubit
+from clusterfid.engine import conjugate_on_qubit, embed
 from clusterfid.fidelity import (
     FidelityResult,
     cross_validate,
@@ -337,6 +338,24 @@ def test_walk_matches_unpermuted_reference_bitwise(registry, rng, gate):
         for (outcomes, reduced), (ref_outcomes, ref_reduced) in zip(walked, reference):
             assert outcomes == ref_outcomes
             assert np.array_equal(reduced, ref_reduced)
+
+
+@pytest.mark.parametrize("gate", ALL_GATES, ids=str)
+def test_branch_correction_is_the_embed_chain(registry, gate):
+    # reference: each byproduct that fires lifted by `embed` and multiplied
+    # on from the left, for every outcome vector of the pattern
+    paulis = {"X": np.array([[0, 1], [1, 0]]), "Z": np.array([[1, 0], [0, -1]])}
+    pattern = registry.pattern_for(gate)
+    kept = sorted(pattern.to_index(lab) for lab in pattern.kept_labels)
+    m = len(kept)
+    for bits in itertools.product((0, 1), repeat=len(pattern.measure_order)):
+        outcomes = dict(zip(pattern.measure_order, bits))
+        reference = np.eye(2**m, dtype=complex)
+        for rule in pattern.byproducts:
+            if sum(outcomes[src] for src in rule.sources) % 2:
+                pos = kept.index(pattern.to_index(rule.target))
+                reference = embed(paulis[rule.pauli], [pos], m) @ reference
+        assert np.array_equal(fidelity._branch_correction(pattern, outcomes), reference)
 
 
 def test_measurement_order_off_index_order(registry, rng):

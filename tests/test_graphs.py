@@ -94,6 +94,58 @@ class TestPauliString:
             assert np.allclose((a * b).matrix(), a.matrix() @ b.matrix())
 
 
+#: Test-local single-qubit Paulis for the Kronecker-chain reference.
+_PAULI_2 = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+PHASES = (1, -1, 1j, -1j)
+
+
+def _kron_chain(p: PauliString) -> np.ndarray:
+    out = np.array([[p.phase]], dtype=complex)
+    for c in p.letters:
+        out = np.kron(out, _PAULI_2[c])
+    return out
+
+
+def _random_word(rng, n) -> PauliString:
+    return PauliString("".join(rng.choice(list("IXYZ"), size=n)), PHASES[rng.integers(4)])
+
+
+class TestSignedPermutation:
+    @pytest.mark.parametrize("phase", PHASES, ids=str)
+    def test_matrix_is_the_kron_chain_for_every_short_word(self, phase):
+        for n in range(4):
+            for letters in itertools.product("IXYZ", repeat=n):
+                p = PauliString("".join(letters), phase)
+                assert np.array_equal(p.matrix(), _kron_chain(p)), p
+
+    def test_matrix_is_the_kron_chain_for_random_long_words(self, rng):
+        for n in range(4, 9):
+            for _ in range(12):
+                p = _random_word(rng, n)
+                assert np.array_equal(p.matrix(), _kron_chain(p)), p
+
+    def test_rows_are_an_involution(self, rng):
+        for n in range(9):
+            rows, values = _random_word(rng, n).columns()
+            assert np.array_equal(rows[rows], np.arange(2**n))
+            assert set(np.round(values, 15).tolist()) <= set(PHASES)
+
+    def test_project_is_bitwise_the_dense_product(self, rng):
+        for n in range(1, 7):
+            for _ in range(6):
+                p = _random_word(rng, n)
+                d = 2**n
+                mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                dense = (np.eye(d, dtype=complex) + _kron_chain(p)) / 2.0
+                assert np.array_equal(p.project(mat), dense @ mat), p
+
+
 def _all_graphs(n):
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(2 ** len(pairs)):
@@ -148,6 +200,19 @@ class TestClusterState:
                 a = build_cluster_state(g)
                 b = cluster_state_projector_product(g)
                 assert np.max(np.abs(a - b)) <= 1e-10
+
+    def test_projector_product_is_bitwise_the_gemm_build(self, rng):
+        graphs = [g for n in range(1, 5) for g in _all_graphs(n)]
+        for n in (5, 6, 7, 8):
+            pairs = list(itertools.combinations(range(n), 2))
+            graphs += [Graph.from_edges(n, [e for e in pairs if rng.random() < 0.4])
+                       for _ in range(4)]
+        for g in graphs:
+            dim = 2**g.num_vertices
+            m = np.eye(dim, dtype=complex)
+            for i in range(g.num_vertices):
+                m = m @ (np.eye(dim, dtype=complex) + _kron_chain(stabilizer(g, i))) / 2.0
+            assert np.array_equal(cluster_state_projector_product(g), m / np.trace(m).real)
 
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):

@@ -3,8 +3,9 @@
 tracemalloc sees numpy's data buffers, so these bounds count the dense
 matrices that stay alive: the registry should keep one cluster state and one
 witness product per gate, the witness of the latest angle only, and no noisy
-state; a formula call should peak at three states while it applies the
-channels; the oracle should walk one copy of the state.
+state; a witness build should hold the product and one gathered copy; a
+formula call should peak at three states while it applies the channels; the
+oracle should walk one copy of the state.
 """
 
 import gc
@@ -41,6 +42,15 @@ def test_cold_formula_holds_cluster_state_and_witness_only(gate):
     registry = load_registry()
     held, _ = traced(lambda: fidelity_formula(gate, {}, registry))
     assert held / state_bytes(registry, gate) <= 2.1
+
+
+@pytest.mark.parametrize("gate", GATES, ids=str)
+def test_cold_witness_build_peaks_at_a_few_states(gate):
+    registry = load_registry()
+    _, peak = traced(lambda: registry.witness_for(gate))
+    # the row gathers hold the product and its next gathered copy; the
+    # zrot factor is summed into one matrix, entry by entry
+    assert peak / state_bytes(registry, gate) <= (5.1 if gate.kind == "zrot" else 3.6)
 
 
 @pytest.mark.parametrize("gate", GATES, ids=str)
