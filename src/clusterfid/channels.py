@@ -43,7 +43,9 @@ class KrausChannel:
     operators: tuple
 
     def __post_init__(self):
-        ops = tuple(np.asarray(op, dtype=complex) for op in self.operators)
+        # copies: freezing the caller's own array would let them unfreeze it
+        # and edit a channel whose completeness was already checked
+        ops = tuple(np.array(op, dtype=complex) for op in self.operators)
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
         for op in ops:
@@ -161,11 +163,12 @@ def parse_channel_spec(spec: str) -> KrausChannel:
 
 
 def apply_assignment(mat: np.ndarray, assignment: NoiseAssignment) -> np.ndarray:
-    """Apply each qubit's channel in turn to the state ``mat`` (read-only result).
+    """Apply each qubit's channel in turn to the state ``mat``.
 
     Channels on distinct qubits commute, so the iteration order cannot
     change the result; qubits are visited in ascending order anyway to keep
-    rounding deterministic. An empty assignment returns a read-only view of
+    rounding deterministic. The result is a fresh writable array that the
+    caller owns, except that an empty assignment returns a read-only view of
     ``mat`` itself, not a copy.
 
     Every target is checked before any work is done. Each channel is then
@@ -176,6 +179,8 @@ def apply_assignment(mat: np.ndarray, assignment: NoiseAssignment) -> np.ndarray
     for q in noisy:
         if not (0 <= q < n):
             raise ValueError(f"assignment targets qubit {q} outside 0..{n - 1}")
+    if not noisy:
+        return read_only(mat)
     for q in noisy:
         mat = apply_kraus(mat, assignment[q].operators, q, n)
-    return read_only(mat)
+    return mat

@@ -16,6 +16,7 @@ in ``#`` comment headers.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -308,7 +309,14 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    ``main`` finds each subcommand's ``cmd_*`` handler in this module when
+    it runs, so the parser holds no handler and a handler replaced after
+    the parser was built is the one that runs.
+    """
     parser = argparse.ArgumentParser(
         prog="clusterfid",
         description="Gate-fidelity analysis for noisy cluster-state computation.",
@@ -332,13 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="0:0.5:0.05", help="start:stop:step (default 0:0.5:0.05)")
     p.add_argument("--method", default="formula", choices=["formula", "oracle", "both"])
     p.add_argument("-o", "--output", default=None, help="CSV path (default stdout)")
-    p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("scan-immunity", help="immune (qubit, channel) table")
     add_gate(p)
     p.add_argument("--csv", action="store_true", help="machine-readable output")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_scan_immunity)
 
     p = sub.add_parser("compare", help="two controlling patterns side by side (CSV)")
     add_gate(p)
@@ -347,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protectB", dest="protect_b", required=True)
     p.add_argument("--grid", default="0:0.5:0.05")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("eval", help="single fidelity evaluation")
     add_gate(p)
@@ -358,19 +363,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--qubit", required=True)
     p.add_argument("--method", default="formula", choices=["formula", "oracle", "both"])
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("validate", help="run the invariant suite")
-    p.set_defaults(func=cmd_validate)
-
+    sub.add_parser("validate", help="run the invariant suite")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -1,8 +1,8 @@
 """Dense complex-matrix engine for small n-qubit density matrices.
 
 Everything here operates on plain ``numpy`` arrays of shape ``(2**n, 2**n)``
-with dtype ``complex128``; the states and witnesses the package hands out
-are such arrays, marked read-only so that no caller can alter a cached one.
+with dtype ``complex128``; the states and witnesses the package caches are
+such arrays, marked read-only so that no caller can alter a cached one.
 Qubit 0 is the most significant tensor factor throughout the package: for
 two qubits, ``embed(X, [0], 2)`` is ``X (x) I`` and ``embed(X, [1], 2)`` is
 ``I (x) X``. The engine is deliberately dense; the patterns analysed with
@@ -167,12 +167,19 @@ def apply_kraus(
     return out.reshape(mat.shape)
 
 
-def expectation(rho: np.ndarray, m: np.ndarray) -> complex:
-    """Tr(rho M), computed without forming the product matrix."""
+def expectation(rho: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> complex:
+    """Tr(rho M) as the sum of the elementwise product ``rho * M^T``.
+
+    The product matrix ``rho @ M`` is never formed. ``out`` is numpy's: the
+    elementwise product is written there, and it may be ``rho`` itself when
+    the caller owns that array, so the call allocates nothing of the state's
+    size. The package's witnesses are column-major, so ``M^T`` is read in
+    memory order; any layout gives the same sum bit for bit.
+    """
     m = _as_matrix(m)
     if m.shape != rho.shape:
         raise ValueError(f"operator of shape {m.shape} != state of shape {rho.shape}")
-    return complex(np.sum(rho * m.T))
+    return complex(np.sum(np.multiply(rho, m.T, out=out)))
 
 
 def partial_trace_raw(

@@ -12,7 +12,8 @@ The two must agree; ``cross_validate`` reports the worst difference.
 
 The two evaluators share the engine, the registry and ``apply_assignment``,
 but no intermediate: each applies the channels to the registry's pristine
-cluster state itself.
+cluster state itself. The formula owns the noisy state it gets back, so it
+takes the trace against the column-major witness in place, over that state.
 """
 
 from __future__ import annotations
@@ -67,7 +68,12 @@ def describe_assignment(pattern: MeasurementPattern, assignment: dict) -> str:
 
 
 def resolve_assignment(pattern: MeasurementPattern, assignment: dict) -> dict:
-    """Map label-keyed (or index-keyed) channels onto vertex indices."""
+    """Map label-keyed channels onto vertex indices.
+
+    Keys are qubit labels, matched as strings: an int key matches the label
+    it prints as, not the vertex of that index (on cz, ``2`` names the qubit
+    labelled "2", and ``0`` names no qubit).
+    """
     resolved: dict[int, KrausChannel] = {}
     for label, channel in assignment.items():
         idx = pattern.to_index(label)
@@ -82,13 +88,18 @@ def fidelity_formula(
     assignment: dict | None = None,
     registry: PatternRegistry | None = None,
 ) -> FidelityResult:
-    """Closed-form average gate fidelity: Tr(noisy cluster x witness)."""
+    """Closed-form average gate fidelity: Tr(noisy cluster x witness).
+
+    The call allocates only its noisy state: the elementwise product with
+    the transposed witness is written over it, and then summed.
+    """
     registry = registry or default_registry()
     pattern = registry.pattern_for(gate)
     assignment = dict(assignment or {})
     resolved = resolve_assignment(pattern, assignment)
     rho = apply_assignment(registry.cluster_state(gate), resolved)
-    val = expectation(rho, registry.witness_for(gate))
+    # a noisy rho is this call's own array, so the product overwrites it
+    val = expectation(rho, registry.witness_for(gate), out=rho if resolved else None)
     if abs(val.imag) > 1e-10:
         raise ValueError(f"witness expectation has imaginary part {val.imag:.3e}")
     return FidelityResult(

@@ -225,8 +225,9 @@ class PatternRegistry:
     def witness_for(self, gate: GateKind) -> np.ndarray:
         """The (cached, read-only) witness: the product of its factors, in order.
 
-        Only the latest theta is kept per gate kind, so an angle sweep holds
-        one witness, not one per angle.
+        It is stored column-major (see ``_build_witness``). Only the latest
+        theta is kept per gate kind, so an angle sweep holds one witness, not
+        one per angle.
         """
         theta, witness = self._witness_cache.pop(gate.kind, (None, None))
         if theta != gate.theta:
@@ -258,7 +259,11 @@ class PatternRegistry:
         return prod
 
     def _build_witness(self, gate: GateKind) -> np.ndarray:
-        """The product of the factors, from the last back, each (1 + S)/2 by a row gather."""
+        """The product of the factors, from the last back, each (1 + S)/2 by a row gather.
+
+        The product is stored column-major, so its transpose, the operand of
+        ``expectation``'s sum over ``rho * W^T``, is read in memory order.
+        """
         pat = self.pattern_for(gate)
         if gate.kind == "zrot":
             combined = self._rotation_factor(pat, gate.theta).matrix
@@ -266,7 +271,7 @@ class PatternRegistry:
             combined = np.eye(2**pat.graph.num_vertices, dtype=complex)
         for labels in reversed(_WITNESS_GROUPS[gate.kind]):
             combined = self._stabs(pat, labels).project(combined)
-        return read_only(combined)
+        return read_only(np.asfortranarray(combined))
 
     def _rotation_factor(self, pat: MeasurementPattern, theta: float) -> WitnessFactor:
         """The angle-dependent factor of the Z-rotation witness.

@@ -19,7 +19,7 @@ from clusterfid.channels import (
     parse_channel_spec,
     phase_damping,
 )
-from clusterfid.engine import apply_kraus, conjugate_on_qubit
+from clusterfid.engine import apply_kraus, conjugate_on_qubit, read_only
 from clusterfid.graphs import Graph, build_cluster_state
 from conftest import pure_density, random_channel, random_density_matrix
 
@@ -60,6 +60,13 @@ class TestConstructors:
             family(-0.1)
         with pytest.raises(ValueError):
             family(1.1)
+
+    def test_channel_copies_the_callers_operators(self):
+        k0 = np.eye(2, dtype=complex)
+        channel = KrausChannel("id", 0.0, (k0,))
+        assert k0.flags.writeable and not channel.operators[0].flags.writeable
+        k0[1, 1] = 5
+        assert np.array_equal(channel.operators[0], np.eye(2))
 
     def test_generic_channel_completeness_enforced(self):
         ok = KrausChannel("ok", 0.0, (np.eye(2),))
@@ -124,6 +131,12 @@ class TestApplyAssignment:
         out = apply_assignment(rho, {})
         assert np.allclose(out, rho)
         assert np.shares_memory(out, rho) and not out.flags.writeable
+
+    def test_noisy_result_is_a_fresh_writable_array(self, rng):
+        rho = read_only(random_density_matrix(rng, 2))
+        out = apply_assignment(rho, {1: amplitude_damping(0.3)})
+        assert out.flags.writeable
+        assert not np.shares_memory(out, rho)
 
     def test_order_independence(self, rng):
         rho = random_density_matrix(rng, 3)

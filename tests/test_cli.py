@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import time
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from clusterfid import fidelity
+from clusterfid import cli, fidelity
 from clusterfid.cli import MAX_GRID_POINTS, _parse_grid, main
 from clusterfid.patterns import CONTROLLED_Z
 
@@ -55,6 +56,37 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+EVAL = ["eval", "--gate", "identity", "--channel", "dephasing(0.2)", "--qubit", "1"]
+
+
+class TestParser:
+    def test_calls_share_one_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            if kwargs.get("prog") == "clusterfid":
+                built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        ok = (0, "formula  identity dephasing(0.2)@1: F = 0.800000000000\n", "")
+        assert run(EVAL, capsys) == ok
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--gate", "toffoli"])
+        assert exc.value.code == 2 and "invalid choice: 'toffoli'" in capsys.readouterr().err
+        code, out, err = run(EVAL[:-1] + ["9"], capsys)
+        assert (code, out) == (2, "") and "has no qubit '9'" in err
+        assert run(EVAL, capsys) == ok
+        assert len(built) <= 1
+
+    def test_handler_is_looked_up_when_main_runs(self, capsys, monkeypatch):
+        run(EVAL, capsys)  # the parser exists from here on
+        seen = []
+        monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(args.qubit) or 7)
+        assert main(EVAL) == 7 and seen == ["1"]
 
 
 class TestCurve:

@@ -142,6 +142,18 @@ class TestExpectation:
         with pytest.raises(ValueError):
             expectation(ZERO, np.eye(4))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_out_receives_the_product_and_changes_no_bit(self, rng, order):
+        rho = random_density_matrix(rng, 3)
+        m = np.asarray(random_density_matrix(rng, 3), order=order)
+        expected = complex(np.sum(rho * np.ascontiguousarray(m).T))
+        buf = np.empty_like(rho)
+        assert expectation(rho, m, out=buf) == expected
+        assert np.array_equal(buf, rho * m.T)
+        own = rho.copy()
+        assert expectation(own, m, out=own) == expected
+        assert np.array_equal(own, buf)
+
 
 class TestPartialTrace:
     def test_product_state(self, rng):

@@ -68,6 +68,67 @@ class TestFormula:
             fidelity_formula(IDENTITY, {"7": dephasing(0.1)}, registry)
 
 
+def _parent_sum(registry, gate, assignment) -> float:
+    """Tr(noisy W) as the sum of an allocated product against a C-ordered witness."""
+    pattern = registry.pattern_for(gate)
+    noisy = apply_assignment(registry.cluster_state(gate), resolve_assignment(pattern, assignment))
+    witness = np.ascontiguousarray(registry.witness_for(gate))
+    return complex(np.sum(noisy * witness.T)).real
+
+
+class TestInPlaceTrace:
+    """The formula sums its product in place, with every bit of an allocated one."""
+
+    @pytest.mark.parametrize("family", sorted(BUILTIN_CHANNELS))
+    @pytest.mark.parametrize("gate", ALL_GATES, ids=str)
+    def test_each_qubit_and_channel_is_bitwise_the_allocated_sum(self, registry, gate, family):
+        for label in registry.pattern_for(gate).labels:
+            for p in (0.1, 0.5):
+                assignment = {label: BUILTIN_CHANNELS[family](p)}
+                value = fidelity_formula(gate, assignment, registry).raw_value
+                assert value == _parent_sum(registry, gate, assignment)
+
+    def test_multi_qubit_assignments_are_bitwise_the_allocated_sum(self, registry):
+        rng = np.random.default_rng(1313)
+        families = [BUILTIN_CHANNELS[name] for name in sorted(BUILTIN_CHANNELS)]
+        for _ in range(20):
+            gate = ALL_GATES[int(rng.integers(len(ALL_GATES)))]
+            labels = registry.pattern_for(gate).labels
+            chosen = rng.choice(labels, size=int(rng.integers(2, len(labels) + 1)), replace=False)
+            assignment = {
+                str(lab): families[int(rng.integers(len(families)))](float(rng.uniform(0, 1)))
+                for lab in chosen
+            }
+            value = fidelity_formula(gate, assignment, registry).raw_value
+            assert value == _parent_sum(registry, gate, assignment)
+
+    @pytest.mark.parametrize("gate", ALL_GATES, ids=str)
+    def test_cached_state_and_witness_keep_their_bytes(self, gate):
+        registry = load_registry()
+        label = registry.pattern_for(gate).labels[-1]
+        fidelity_formula(gate, {}, registry)
+        state = registry.cluster_state(gate).tobytes()
+        witness = registry.witness_for(gate).tobytes()
+        for assignment in ({}, {label: dephasing(0.3)}, {}, {label: amplitude_damping(0.6)}):
+            fidelity_formula(gate, assignment, registry)
+        assert registry.cluster_state(gate).tobytes() == state
+        assert registry.witness_for(gate).tobytes() == witness
+
+
+class TestResolveAssignment:
+    """Keys are labels; an int key matches the label it prints as, not a vertex index."""
+
+    def test_int_key_names_the_label_it_prints_as(self, registry):
+        pattern = registry.pattern_for(CONTROLLED_Z)
+        channel = dephasing(0.2)
+        assert resolve_assignment(pattern, {2: channel}) == {pattern.to_index("2"): channel}
+        assert pattern.to_index("2") == 3
+
+    def test_int_key_of_no_label_is_refused(self, registry):
+        with pytest.raises(ValueError, match="pattern 'cz' has no qubit 0"):
+            resolve_assignment(registry.pattern_for(CONTROLLED_Z), {0: dephasing(0.2)})
+
+
 class TestOracle:
     @pytest.mark.parametrize("gate", ALL_GATES)
     def test_noiseless_is_exactly_one(self, registry, gate):

@@ -4,8 +4,10 @@ tracemalloc sees numpy's data buffers, so these bounds count the dense
 matrices that stay alive: the registry should keep one cluster state and one
 witness product per gate, the witness of the latest angle only, and no noisy
 state; a witness build should hold the product and one gathered copy; a
-formula call should peak at three states while it applies the channels; the
-oracle should walk one copy of the state.
+formula call should peak near two states with one noisy qubit and near three
+with every qubit noisy, while it applies the channels, and allocate nothing
+of a state's size to take the trace; the oracle should walk one copy of the
+state.
 """
 
 import gc
@@ -77,10 +79,22 @@ def test_warm_formula_peaks_at_four_states(gate, noisy):
     fidelity_formula(gate, assignment, registry)  # builds the cluster state and witness
     _, peak = traced(lambda: fidelity_formula(gate, assignment, registry))
     # the state a channel runs on, its output and two quarter-size scratch
-    # buffers, then the noisy state and the witness product; numpy's own
-    # temporaries add up to half a state on the 7-qubit gates; the peak now
-    # stays under three states, below the four the name still records
+    # buffers; numpy's own temporaries add up to half a state on the 7-qubit
+    # gates; the trace writes over the noisy state; all-noisy calls peak
+    # under three states, below the four the name still records
     assert peak / state_bytes(registry, gate) <= 3.1
+
+
+@pytest.mark.parametrize("gate", GATES, ids=str)
+def test_warm_formula_with_one_noisy_qubit_peaks_near_two_states(gate):
+    registry = load_registry()
+    pattern = registry.pattern_for(gate)
+    assignment = {max(pattern.labels, key=pattern.to_index): amplitude_damping(0.3)}
+    fidelity_formula(gate, assignment, registry)  # builds the cluster state and witness
+    _, peak = traced(lambda: fidelity_formula(gate, assignment, registry))
+    # the channel's output and two quarter-size scratch buffers; the trace
+    # writes its product over the noisy state, so it adds no state
+    assert peak / state_bytes(registry, gate) <= 2.1
 
 
 def test_formulas_hold_only_cluster_states_and_witnesses():

@@ -129,6 +129,11 @@ class TestWitness:
             product = product @ m
         assert np.array_equal(product, registry.witness_for(gate))
 
+    @pytest.mark.parametrize("gate", ALL_GATES, ids=str)
+    def test_witness_is_column_major(self, registry, gate):
+        # expectation sums rho * W^T, so W^T is read in memory order
+        assert registry.witness_for(gate).T.flags.c_contiguous
+
     def test_zrot_continuity_in_theta(self, registry):
         # fixed noisy state; F must move by O(delta) under a tiny angle change
         delta = 1e-6
