@@ -22,6 +22,7 @@ IMMUNITY_PROBES = (0.25, 0.5, 0.75, 1.0)
 
 IMMUNITY_ATOL = 1e-9
 SLOPE_ATOL = 1e-6
+SLOPE_STEP = 1e-6  # finite-difference step of ``initial_slope``
 
 ChannelFamily = Callable[[float], KrausChannel]
 
@@ -158,7 +159,6 @@ def initial_slope(
     channel_family: ChannelFamily,
     exposed: Iterable,
     registry: PatternRegistry | None = None,
-    h: float = 1e-6,
 ) -> SlopeReport:
     """dF/dp at p = 0, by one-sided difference with Richardson refinement.
 
@@ -177,6 +177,7 @@ def initial_slope(
             assignment = {lab: channel_family(p) for lab in labels}
             return fidelity_formula(gate, assignment, registry).raw_value
 
+        h = SLOPE_STEP
         f0 = f(0.0)
         d1 = (f(h) - f0) / h
         d2 = (f(h / 2) - f0) / (h / 2)

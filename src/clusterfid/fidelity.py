@@ -5,10 +5,11 @@ noisy cluster state. ``mbqc_oracle`` knows nothing about witnesses: it
 walks the tree of measurement outcomes depth first in measurement order,
 projecting the noisy state once per outcome prefix (the outcome-adapted
 basis reads its control outcome off the path), reduces each branch to the
-kept qubits, applies the byproduct corrections, and compares against the
-same branch of the noiseless run, which the same walk produces,
-averaging Tr(sigma_m sigma_m_ideal) under the noisy branch probabilities.
-The two must agree; ``cross_validate`` reports the worst difference.
+kept qubits, applies the byproduct corrections, and averages Tr(sigma_m sigma)
+under the noisy branch probabilities against one ideal output sigma: the
+byproducts make every branch realize the same gate, so a wrong byproduct
+table lowers the value. The two must agree; ``cross_validate`` reports the
+worst difference.
 
 The two evaluators share the engine, the registry and ``apply_assignment``,
 but no intermediate: each applies the channels to the registry's pristine
@@ -18,6 +19,7 @@ takes the trace against the column-major witness in place, over that state.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import dataclass
 
@@ -45,16 +47,17 @@ MAX_BRANCH_QUBITS = 12
 class FidelityResult:
     gate: GateKind
     assignment: str          # human-readable summary of the noise assignment
-    value: float             # clipped to [0, 1] for reporting
+    raw_value: float         # unclipped, for tolerance checks
     method: str              # 'formula' | 'oracle'
-    raw_value: float | None = None  # unclipped, for tolerance checks
 
     def __post_init__(self):
-        raw = self.value if self.raw_value is None else self.raw_value
-        if not (-1e-9 <= raw <= 1 + 1e-9):
-            raise ValueError(f"fidelity {raw} outside [-1e-9, 1+1e-9]")
-        object.__setattr__(self, "raw_value", float(raw))
-        object.__setattr__(self, "value", float(min(max(raw, 0.0), 1.0)))
+        if not (-1e-9 <= self.raw_value <= 1 + 1e-9):
+            raise ValueError(f"fidelity {self.raw_value} outside [-1e-9, 1+1e-9]")
+        object.__setattr__(self, "raw_value", float(self.raw_value))
+
+    @property
+    def value(self) -> float:  # clipped to [0, 1] for reporting
+        return min(max(self.raw_value, 0.0), 1.0)
 
 
 def describe_assignment(pattern: MeasurementPattern, assignment: dict) -> str:
@@ -110,7 +113,7 @@ def fidelity_formula(
 # -- branch oracle -------------------------------------------------------------
 
 
-#: Branch tables per registry: gate kind -> (theta, rows), the latest theta only.
+#: Branch tables per registry: gate kind -> (theta, (ideal, corrections)), the latest theta only.
 _branch_tables = weakref.WeakKeyDictionary()
 
 
@@ -177,23 +180,25 @@ def _branch_correction(pattern: MeasurementPattern, outcomes: dict) -> np.ndarra
 
 
 def _branches(registry: PatternRegistry, gate: GateKind) -> tuple:
-    """``(correction, corrected ideal branch state)`` per outcome vector, walk order."""
+    """``(ideal, corrections)``: the output every branch must realize, and the
+    byproduct Pauli of each outcome vector in walk order. The ideal is the first
+    noiseless branch with weight, corrected by its own byproduct and normalized;
+    the walk stops at that leaf.
+    """
     table = _branch_tables.setdefault(registry, {})
-    theta, rows = table.get(gate.kind, (None, None))
+    theta, entry = table.get(gate.kind, (None, None))
     if theta != gate.theta:
         pattern = registry.pattern_for(gate)
-        clean = registry.cluster_state(gate)
-        rows = []
-        for outcomes, reduced in _walk_branches(pattern, gate.theta, clean):
-            corr = _branch_correction(pattern, outcomes)
-            prob = float(np.trace(reduced).real)
-            # prob <= BRANCH_EPS cannot happen for graph states (every branch
-            # has weight 2^-k), but keep the contract: no ideal state then.
-            ideal = corr @ (reduced / prob) @ corr.conj().T if prob > BRANCH_EPS else None
-            rows.append((corr, ideal))
-        rows = tuple(rows)
-        table[gate.kind] = (gate.theta, rows)
-    return rows
+        for outcomes, reduced in _walk_branches(pattern, gate.theta, registry.cluster_state(gate)):
+            if (prob := float(np.trace(reduced).real)) > BRANCH_EPS:
+                break
+        corr = _branch_correction(pattern, outcomes)
+        order = pattern.measure_order
+        vectors = itertools.product((0, 1), repeat=len(order))
+        entry = (corr @ (reduced / prob) @ corr.conj().T,
+                 tuple(_branch_correction(pattern, dict(zip(order, v))) for v in vectors))
+        table[gate.kind] = (gate.theta, entry)
+    return entry
 
 
 def mbqc_oracle(
@@ -213,27 +218,22 @@ def mbqc_oracle(
     resolved = resolve_assignment(pattern, assignment)
     # Build the branch table first, and pass the noisy state on unnamed, so
     # that one walk and one copy of the state are alive at a time.
-    table = _branches(registry, gate)
+    ideal, corrections = _branches(registry, gate)
     noisy_walk = _walk_branches(
         pattern, gate.theta, apply_assignment(registry.cluster_state(gate), resolved)
     )
     total = 0.0
     probs = []
-    branches = zip(noisy_walk, table, strict=True)
-    for (_, reduced), (corr, ideal) in branches:
+    for (_, reduced), corr in zip(noisy_walk, corrections, strict=True):
         prob = float(np.trace(reduced).real)
         if prob <= BRANCH_EPS:
             continue
         probs.append(prob)
         corrected = corr @ reduced @ corr.conj().T
-        # prob * Tr(sigma_m sigma_m_ideal) with sigma_m = corrected / prob
+        # prob * Tr(sigma_m sigma) with sigma_m = corrected / prob
         total += float(np.trace(corrected @ ideal).real)
-    result = FidelityResult(
-        gate, describe_assignment(pattern, assignment), total, "oracle"
-    )
-    if return_branch_probabilities:
-        return result, probs
-    return result
+    result = FidelityResult(gate, describe_assignment(pattern, assignment), total, "oracle")
+    return (result, probs) if return_branch_probabilities else result
 
 
 @dataclass(frozen=True)
@@ -251,7 +251,6 @@ class CrossValidationRow:
 class CrossValidationReport:
     gate: GateKind
     rows: tuple
-    tolerance: float = DISCREPANCY_TOL
 
     @property
     def max_discrepancy(self) -> float:
@@ -259,7 +258,7 @@ class CrossValidationReport:
 
     @property
     def flagged(self) -> tuple:
-        return tuple(r for r in self.rows if r.discrepancy > self.tolerance)
+        return tuple(r for r in self.rows if r.discrepancy > DISCREPANCY_TOL)
 
     @property
     def ok(self) -> bool:

@@ -298,6 +298,24 @@ class TestEval:
         )
         assert code == 0 and "strongdamp" in out
 
+    def test_branch_the_noiseless_run_never_reaches(self, capsys, tmp_path):
+        # an isolated vertex 7 measured in X: only the noisy run reaches s7 = 1
+        from importlib import resources
+
+        text = resources.files("clusterfid").joinpath("data/patterns.txt").read_text()
+        head, rest = text.split("[hadamard]")
+        head = head.replace("n 7", "n 8", 1).replace("order 0 2 3 4 6", "order 0 2 3 4 6 7", 1)
+        path = tmp_path / "registry.txt"
+        path.write_text(head + "basis 7 X\n[hadamard]" + rest)
+        code, out, _ = run(
+            ["--registry", str(path), "eval", "--gate", "identity",
+             "--channel", "dephasing(0.3)", "--qubit", "7", "--method", "both"],
+            capsys,
+        )
+        assert code == 0
+        assert "formula  identity dephasing(0.3)@7: F = 1.000000000000" in out
+        assert "oracle   identity dephasing(0.3)@7: F = 1.000000000000" in out
+
 
 class TestValidate:
     def test_pristine_install_passes(self, capsys):
@@ -305,18 +323,26 @@ class TestValidate:
         assert code == 0
         assert "FAIL" not in out and "all checks passed" in out
 
-    def test_corrupted_registry_fails_naming_the_gate(self, capsys, tmp_path):
+    @pytest.mark.parametrize("line, corrupted, gate", [
+        # drop one chain edge of the identity graph: the witness no longer
+        # stabilizes the built cluster state
+        ("e 3 4\ne 4 5", "e 3 4", "identity"),
+        # a wrong byproduct rule: the corrected branches no longer realize
+        # one gate, so the oracle parts from the formula
+        ("byproduct s2 Z a_out", "byproduct s2 X a_out", "cz"),
+    ], ids=["dropped_edge", "wrong_byproduct"])
+    def test_corrupted_registry_fails_naming_the_gate(
+        self, capsys, tmp_path, line, corrupted, gate
+    ):
         from importlib import resources
 
         text = resources.files("clusterfid").joinpath("data/patterns.txt").read_text()
-        # drop one chain edge of the identity graph: the witness no longer
-        # stabilizes the built cluster state
-        corrupted = text.replace("[identity]", "[identity]", 1).replace("e 3 4\ne 4 5", "e 3 4", 1)
+        assert line in text
         bad = tmp_path / "registry.txt"
-        bad.write_text(corrupted)
+        bad.write_text(text.replace(line, corrupted, 1))
         code, out, _ = run(["--registry", str(bad), "validate"], capsys)
         assert code == 1
-        assert any("FAIL" in l and "identity" in l for l in out.splitlines())
+        assert any("FAIL" in l and f"[{gate}]" in l for l in out.splitlines())
 
     def test_missing_registry_is_usage_error(self, capsys):
         code, _, err = run(["--registry", "/nonexistent/registry.txt", "validate"], capsys)

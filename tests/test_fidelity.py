@@ -165,12 +165,12 @@ class TestOracle:
     @pytest.mark.parametrize("gate, projections", [
         (IDENTITY, 62), (HADAMARD, 62), (z_rotation(1.1), 62), (CONTROLLED_Z, 30),
     ])
-    def test_each_outcome_prefix_is_projected_once(
-        self, registry, gate, projections, monkeypatch
-    ):
+    def test_each_outcome_prefix_is_projected_once(self, gate, projections, monkeypatch):
         # k measured qubits: 2 + 4 + ... + 2^k = 2^(k+1) - 2 projections on a
-        # warm branch table, where one projection chain per branch took k * 2^k
-        mbqc_oracle(gate, {}, registry)
+        # warm branch table, where one projection chain per branch took k * 2^k;
+        # a cold call first walks the noiseless state down to its first leaf
+        # only, k more: 67 on the 7-qubit gates and 34 on cz
+        registry = load_registry()
         calls = []
         project = fidelity.conjugate_on_qubit
 
@@ -179,8 +179,12 @@ class TestOracle:
             return project(*args)
 
         monkeypatch.setattr(fidelity, "conjugate_on_qubit", counting)
-        label = registry.pattern_for(gate).labels[1]
-        mbqc_oracle(gate, {label: dephasing(0.2)}, registry)
+        pattern = registry.pattern_for(gate)
+        assignment = {pattern.labels[1]: dephasing(0.2)}
+        mbqc_oracle(gate, assignment, registry)
+        assert len(calls) == projections + len(pattern.measure_order)
+        calls.clear()
+        mbqc_oracle(gate, assignment, registry)
         assert len(calls) == projections
 
     def test_agrees_with_formula_on_random_assignments(self, registry, rng):
@@ -420,8 +424,7 @@ def test_branch_correction_is_the_embed_chain(registry, gate):
 
 
 def test_measurement_order_off_index_order(registry, rng):
-    text = resources.files("clusterfid").joinpath("data/patterns.txt").read_text()
-    head, zrot = text.split("[zrot]")
+    head, zrot = _patterns_text().split("[zrot]")
     head = head.replace("order 0 2 3 4 6", "order 6 4 3 2 0", 1)
     zrot = zrot.replace("order 0 2 3 4 6", "order 0 2 6 3 4", 1)
     shuffled = parse_registry_text(head + "[zrot]" + zrot)
@@ -442,3 +445,44 @@ def test_measurement_order_off_index_order(registry, rng):
             oracle = mbqc_oracle(gate, assignment, shuffled).raw_value
             assert abs(formula - oracle) <= 1e-9
             assert abs(oracle - mbqc_oracle(gate, assignment, registry).raw_value) <= 1e-12
+
+
+def _patterns_text() -> str:
+    return resources.files("clusterfid").joinpath("data/patterns.txt").read_text()
+
+
+@pytest.mark.parametrize("gate", ALL_GATES, ids=str)
+def test_swapped_byproducts_part_the_oracle_from_the_formula(gate):
+    # X <-> Z in every byproduct rule: the corrected branches no longer
+    # realize one gate, which the witness formula cannot see
+    swap = {"X": "Z", "Z": "X"}
+    lines = []
+    for line in _patterns_text().splitlines():
+        if line.startswith("byproduct "):
+            kw, expr, pauli, target = line.split()
+            line = f"{kw} {expr} {swap[pauli]} {target}"
+        lines.append(line)
+    swapped = parse_registry_text("\n".join(lines))
+    assignment = {swapped.pattern_for(gate).labels[1]: dephasing(0.3)}
+    formula = fidelity_formula(gate, assignment, swapped).raw_value
+    oracle = mbqc_oracle(gate, assignment, swapped).raw_value
+    assert abs(formula - oracle) > 0.1
+
+
+def test_first_weighted_branch_is_the_ideal_output():
+    # an isolated vertex 7 measured in the adaptive basis at theta = pi:
+    # -X up to rounding, so the all-zero branch weighs about 1e-34 and the
+    # ideal output comes from a later branch
+    head, zrot = _patterns_text().split("[zrot]")
+    zrot = zrot.replace("n 7", "n 8", 1).replace("order 0 2 3 4 6", "order 0 2 3 4 6 7", 1)
+    zrot = zrot.replace("basis 6 Z", "basis 6 Z\nbasis 7 adaptive(theta,2)", 1)
+    registry = parse_registry_text(head + "[zrot]" + zrot)
+    gate = z_rotation(math.pi)
+    pattern = registry.pattern_for(gate)
+    leaf = next(fidelity._walk_branches(pattern, gate.theta, registry.cluster_state(gate)))
+    assert float(np.trace(leaf[1]).real) <= fidelity.BRANCH_EPS
+    for assignment in ({}, {"7": dephasing(0.3)}, {"7": amplitude_damping(0.6)},
+                       {"1": dephasing(0.3)}, {"3": amplitude_damping(0.4), "7": bit_flip(0.2)}):
+        formula = fidelity_formula(gate, assignment, registry).raw_value
+        oracle = mbqc_oracle(gate, assignment, registry).raw_value
+        assert abs(formula - oracle) <= 1e-9
