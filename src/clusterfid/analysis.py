@@ -80,18 +80,6 @@ class ComparisonReport:
         return "crossing"
 
 
-def _normalize_labels(gate: GateKind, registry: PatternRegistry, qubits: Iterable) -> tuple:
-    pattern = registry.pattern_for(gate)
-    labels = tuple(str(q) for q in qubits)
-    seen = set()
-    for lab in labels:
-        pattern.to_index(lab)
-        if lab in seen:
-            raise ValueError(f"qubit {lab!r} listed twice")
-        seen.add(lab)
-    return tuple(sorted(labels, key=pattern.to_index))
-
-
 def check_grid(grid: Sequence[float]) -> list:
     """``grid`` as floats, refused unless nonempty, in [0, 1] and strictly increasing."""
     grid = [float(p) for p in grid]
@@ -117,7 +105,7 @@ def sweep_curve(
     grid = check_grid(grid)
     if method not in ("formula", "oracle"):
         raise ValueError(f"unknown method {method!r}")
-    exposed = _normalize_labels(gate, registry, exposed)
+    exposed = registry.pattern_for(gate).check_labels(exposed)
     evaluate = fidelity_formula if method == "formula" else mbqc_oracle
 
     def point(p: float):
@@ -140,7 +128,7 @@ def immunity_scan(
     per-qubit fidelity curves.
     """
     registry = registry or default_registry()
-    channels = channels or BUILTIN_CHANNELS
+    channels = BUILTIN_CHANNELS if channels is None else channels
     pattern = registry.pattern_for(gate)
     immune = []
     for label in pattern.labels:
@@ -167,25 +155,28 @@ def initial_slope(
     first-order damage), which the tests hold this function to.
     """
     registry = registry or default_registry()
-    exposed = _normalize_labels(gate, registry, exposed)
-
-    def slope_of(labels: tuple) -> float:
-        if not labels:
-            return 0.0
-
-        def f(p: float) -> float:
-            assignment = {lab: channel_family(p) for lab in labels}
-            return fidelity_formula(gate, assignment, registry).raw_value
-
-        h = SLOPE_STEP
-        f0 = f(0.0)
-        d1 = (f(h) - f0) / h
-        d2 = (f(h / 2) - f0) / (h / 2)
-        return 2 * d2 - d1
-
-    per_qubit = {lab: slope_of((lab,)) for lab in exposed}
+    exposed = registry.pattern_for(gate).check_labels(exposed)
+    per_qubit = {lab: _slope(gate, channel_family, (lab,), registry) for lab in exposed}
     channel_name = channel_family(0.0).name
-    return SlopeReport(gate, channel_name, exposed, slope_of(exposed), per_qubit)
+    slope = _slope(gate, channel_family, exposed, registry)
+    return SlopeReport(gate, channel_name, exposed, slope, per_qubit)
+
+
+def _slope(gate: GateKind, channel_family: ChannelFamily, labels: tuple,
+           registry: PatternRegistry) -> float:
+    """dF/dp at p = 0 with ``channel_family(p)`` on every one of ``labels``."""
+    if not labels:
+        return 0.0
+
+    def f(p: float) -> float:
+        assignment = {lab: channel_family(p) for lab in labels}
+        return fidelity_formula(gate, assignment, registry).raw_value
+
+    h = SLOPE_STEP
+    f0 = f(0.0)
+    d1 = (f(h) - f0) / h
+    d2 = (f(h / 2) - f0) / (h / 2)
+    return 2 * d2 - d1
 
 
 def compare_patterns(
@@ -209,16 +200,14 @@ def compare_patterns(
     """
     registry = registry or default_registry()
     pattern = registry.pattern_for(gate)
-    prot_a = _normalize_labels(gate, registry, protected_a)
-    prot_b = _normalize_labels(gate, registry, protected_b)
-
-    def exposed_for(protected: tuple) -> tuple:
-        return tuple(lab for lab in pattern.labels if lab not in protected)
-
-    curve_a = sweep_curve(gate, channel_family, exposed_for(prot_a), grid, registry)
-    curve_b = sweep_curve(gate, channel_family, exposed_for(prot_b), grid, registry)
-    slope_a = initial_slope(gate, channel_family, exposed_for(prot_a), registry).slope
-    slope_b = initial_slope(gate, channel_family, exposed_for(prot_b), registry).slope
+    prot_a = pattern.check_labels(protected_a)
+    prot_b = pattern.check_labels(protected_b)
+    exposed_a = tuple(lab for lab in pattern.labels if lab not in prot_a)
+    exposed_b = tuple(lab for lab in pattern.labels if lab not in prot_b)
+    curve_a = sweep_curve(gate, channel_family, exposed_a, grid, registry)
+    curve_b = sweep_curve(gate, channel_family, exposed_b, grid, registry)
+    slope_a = _slope(gate, channel_family, exposed_a, registry)
+    slope_b = _slope(gate, channel_family, exposed_b, registry)
     return ComparisonReport(
         gate, curve_a.channel_name, prot_a, prot_b, curve_a, curve_b, slope_a, slope_b
     )

@@ -66,18 +66,18 @@ def _parse_grid(spec: str) -> list:
 
 
 def _parse_qubits(spec: str) -> list:
-    labels = [tok.strip() for tok in spec.split(",") if tok.strip()]
-    for i, lab in enumerate(labels):
-        if lab in labels[:i]:
-            raise ValueError(f"qubit {lab!r} listed twice")
-    return labels
+    return [tok.strip() for tok in spec.split(",") if tok.strip()]
 
 
-def _exposed_qubits(spec: str) -> list:
-    """The ``--qubit`` labels; unlike a protected set, they may not be empty."""
+def _exposed_qubits(spec: str, pattern) -> list:
+    """The ``--qubit`` labels in the order given, checked against ``pattern``.
+
+    Unlike a protected set, they may not be empty.
+    """
     qubits = _parse_qubits(spec)
     if not qubits:
         raise ValueError("--qubit must name at least one qubit")
+    pattern.check_labels(qubits)
     return qubits
 
 
@@ -105,7 +105,7 @@ def cmd_curve(args) -> int:
     gate = _gate_from_args(args)
     family = channel_family(args.channel)
     grid = analysis.check_grid(_parse_grid(args.grid))
-    qubits = _exposed_qubits(args.qubit)
+    qubits = _exposed_qubits(args.qubit, registry.pattern_for(gate))
 
     lines = [
         "# clusterfid curve",
@@ -189,7 +189,7 @@ def cmd_eval(args) -> int:
     registry = load_registry(args.registry)
     gate = _gate_from_args(args)
     channel = parse_channel_spec(args.channel)
-    assignment = {q: channel for q in _exposed_qubits(args.qubit)}
+    assignment = {q: channel for q in _exposed_qubits(args.qubit, registry.pattern_for(gate))}
     results = []
     if args.method in ("formula", "both"):
         results.append(fidelity_formula(gate, assignment, registry))

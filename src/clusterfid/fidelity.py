@@ -15,32 +15,31 @@ The two evaluators share the engine, the registry and ``apply_assignment``,
 but no intermediate: each applies the channels to the registry's pristine
 cluster state itself. The formula owns the noisy state it gets back, so it
 takes the trace against the column-major witness in place, over that state.
+The registry keeps what each gate needs again (its cluster state, witness
+and branch table) for the latest theta only. Assignments are keyed by qubit
+label and checked by ``MeasurementPattern.check_labels``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import (
     BRANCH_EPS,
-    CapacityError,
     conjugate_on_qubit,
     expectation,
     partial_trace_raw,
     permute_qubits,
 )
-from .channels import KrausChannel, apply_assignment
+from .channels import apply_assignment
 from .graphs import PauliString
 from .patterns import GateKind, MeasurementPattern, PatternRegistry, default_registry
 
 DISCREPANCY_TOL = 1e-9
-
-#: Branch enumeration is 2^k over measured qubits; refuse beyond this.
-MAX_BRANCH_QUBITS = 12
 
 
 @dataclass(frozen=True)
@@ -60,30 +59,23 @@ class FidelityResult:
         return min(max(self.raw_value, 0.0), 1.0)
 
 
-def describe_assignment(pattern: MeasurementPattern, assignment: dict) -> str:
-    if not assignment:
+def describe_assignment(pattern: MeasurementPattern, resolved: dict) -> str:
+    """``name(p)@label,...`` of a resolved assignment, in vertex order."""
+    if not resolved:
         return "noiseless"
-    parts = []
-    for label in sorted(assignment, key=lambda lab: pattern.to_index(lab)):
-        ch = assignment[label]
-        parts.append(f"{ch.name}({ch.error_rate:g})@{label}")
-    return ",".join(parts)
+    return ",".join(
+        f"{ch.name}({ch.error_rate:g})@{pattern.labels[i]}" for i, ch in sorted(resolved.items())
+    )
 
 
 def resolve_assignment(pattern: MeasurementPattern, assignment: dict) -> dict:
     """Map label-keyed channels onto vertex indices.
 
-    Keys are qubit labels, matched as strings: an int key matches the label
-    it prints as, not the vertex of that index (on cz, ``2`` names the qubit
-    labelled "2", and ``0`` names no qubit).
+    The keys are checked by ``MeasurementPattern.check_labels``: they are
+    qubit labels, matched as strings.
     """
-    resolved: dict[int, KrausChannel] = {}
-    for label, channel in assignment.items():
-        idx = pattern.to_index(label)
-        if idx in resolved:
-            raise ValueError(f"qubit {label!r} assigned twice")
-        resolved[idx] = channel
-    return resolved
+    pattern.check_labels(assignment)
+    return {pattern.to_index(label): channel for label, channel in assignment.items()}
 
 
 def fidelity_formula(
@@ -98,23 +90,18 @@ def fidelity_formula(
     """
     registry = registry or default_registry()
     pattern = registry.pattern_for(gate)
-    assignment = dict(assignment or {})
-    resolved = resolve_assignment(pattern, assignment)
+    resolved = resolve_assignment(pattern, assignment or {})
     rho = apply_assignment(registry.cluster_state(gate), resolved)
     # a noisy rho is this call's own array, so the product overwrites it
     val = expectation(rho, registry.witness_for(gate), out=rho if resolved else None)
     if abs(val.imag) > 1e-10:
         raise ValueError(f"witness expectation has imaginary part {val.imag:.3e}")
     return FidelityResult(
-        gate, describe_assignment(pattern, assignment), val.real, "formula"
+        gate, describe_assignment(pattern, resolved), val.real, "formula"
     )
 
 
 # -- branch oracle -------------------------------------------------------------
-
-
-#: Branch tables per registry: gate kind -> (theta, (ideal, corrections)), the latest theta only.
-_branch_tables = weakref.WeakKeyDictionary()
 
 
 def _walk_branches(pattern: MeasurementPattern, theta: float, rho: np.ndarray):
@@ -134,14 +121,9 @@ def _walk_branches(pattern: MeasurementPattern, theta: float, rho: np.ndarray):
     """
     order = pattern.measure_order
     k = len(order)
-    if k > MAX_BRANCH_QUBITS:
-        raise CapacityError(
-            f"{k} measured qubits exceed the {MAX_BRANCH_QUBITS}-qubit "
-            "branch-enumeration limit"
-        )
     measured = sorted((pattern.to_index(lab) for lab in order), reverse=True)
-    kept = sorted(pattern.to_index(lab) for lab in pattern.kept_labels)
-    layout = measured + kept  # axis i of the walked copy holds qubit layout[i]
+    # axis i of the walked copy holds qubit layout[i]
+    layout = measured + [pattern.to_index(lab) for lab in pattern.kept_labels]
     axis_of = {label: measured.index(pattern.to_index(label)) for label in order}
     n = pattern.graph.num_vertices
     eye2 = np.eye(2, dtype=complex)
@@ -169,13 +151,11 @@ def _walk_branches(pattern: MeasurementPattern, theta: float, rho: np.ndarray):
 
 def _branch_correction(pattern: MeasurementPattern, outcomes: dict) -> np.ndarray:
     """The byproduct Pauli on the kept qubits; each rule that fires multiplies from the left."""
-    kept_indices = sorted(pattern.to_index(lab) for lab in pattern.kept_labels)
-    m = len(kept_indices)
-    corr = PauliString.identity(m)
+    kept = pattern.kept_labels
+    corr = PauliString.identity(len(kept))
     for rule in pattern.byproducts:
         if sum(outcomes[src] for src in rule.sources) % 2:
-            pos = kept_indices.index(pattern.to_index(rule.target))
-            corr = PauliString.single(m, pos, rule.pauli) * corr
+            corr = PauliString.single(len(kept), kept.index(rule.target), rule.pauli) * corr
     return corr.matrix()
 
 
@@ -183,22 +163,17 @@ def _branches(registry: PatternRegistry, gate: GateKind) -> tuple:
     """``(ideal, corrections)``: the output every branch must realize, and the
     byproduct Pauli of each outcome vector in walk order. The ideal is the first
     noiseless branch with weight, corrected by its own byproduct and normalized;
-    the walk stops at that leaf.
+    the walk stops at that leaf. ``mbqc_oracle`` keeps the table in the registry.
     """
-    table = _branch_tables.setdefault(registry, {})
-    theta, entry = table.get(gate.kind, (None, None))
-    if theta != gate.theta:
-        pattern = registry.pattern_for(gate)
-        for outcomes, reduced in _walk_branches(pattern, gate.theta, registry.cluster_state(gate)):
-            if (prob := float(np.trace(reduced).real)) > BRANCH_EPS:
-                break
-        corr = _branch_correction(pattern, outcomes)
-        order = pattern.measure_order
-        vectors = itertools.product((0, 1), repeat=len(order))
-        entry = (corr @ (reduced / prob) @ corr.conj().T,
-                 tuple(_branch_correction(pattern, dict(zip(order, v))) for v in vectors))
-        table[gate.kind] = (gate.theta, entry)
-    return entry
+    pattern = registry.pattern_for(gate)
+    for outcomes, reduced in _walk_branches(pattern, gate.theta, registry.cluster_state(gate)):
+        if (prob := float(np.trace(reduced).real)) > BRANCH_EPS:
+            break
+    corr = _branch_correction(pattern, outcomes)
+    order = pattern.measure_order
+    vectors = itertools.product((0, 1), repeat=len(order))
+    return (corr @ (reduced / prob) @ corr.conj().T,
+            tuple(_branch_correction(pattern, dict(zip(order, v))) for v in vectors))
 
 
 def mbqc_oracle(
@@ -214,11 +189,12 @@ def mbqc_oracle(
     """
     registry = registry or default_registry()
     pattern = registry.pattern_for(gate)
-    assignment = dict(assignment or {})
-    resolved = resolve_assignment(pattern, assignment)
+    resolved = resolve_assignment(pattern, assignment or {})
     # Build the branch table first, and pass the noisy state on unnamed, so
     # that one walk and one copy of the state are alive at a time.
-    ideal, corrections = _branches(registry, gate)
+    ideal, corrections = registry.cached(
+        "branches", gate.kind, gate.theta, functools.partial(_branches, registry, gate)
+    )
     noisy_walk = _walk_branches(
         pattern, gate.theta, apply_assignment(registry.cluster_state(gate), resolved)
     )
@@ -232,7 +208,7 @@ def mbqc_oracle(
         corrected = corr @ reduced @ corr.conj().T
         # prob * Tr(sigma_m sigma) with sigma_m = corrected / prob
         total += float(np.trace(corrected @ ideal).real)
-    result = FidelityResult(gate, describe_assignment(pattern, assignment), total, "oracle")
+    result = FidelityResult(gate, describe_assignment(pattern, resolved), total, "oracle")
     return (result, probs) if return_branch_probabilities else result
 
 

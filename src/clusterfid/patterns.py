@@ -24,13 +24,18 @@ is built from the last factor back, each (1 + S)/2 by a row gather. The
 expectation of the witness on the noisy pre-measurement cluster state
 equals the branch-averaged gate fidelity; ``cli.cmd_validate`` and the test
 suite hold the registry to that via the independent branch oracle.
+
+A pattern maps labels to vertices and orders its kept qubits once;
+``MeasurementPattern.check_labels`` is the one check of a list of labels.
+``PatternRegistry.cached`` is the one cache of what is built per gate
+(cluster state, witness, the oracle's branch table), for the latest theta.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -126,24 +131,39 @@ class MeasurementPattern:
     bases: dict = field(default_factory=dict)        # label -> BasisSpec
     byproducts: tuple = ()
 
-    @property
+    @functools.cached_property
     def index_of(self) -> dict:
         return {lab: i for i, lab in enumerate(self.labels)}
 
-    @property
+    @functools.cached_property
     def kept_labels(self) -> tuple:
+        """The unmeasured qubits in vertex order: the qubit order of a reduced branch."""
         measured = set(self.measure_order)
         return tuple(lab for lab in self.labels if lab not in measured)
 
     def to_index(self, label) -> int:
-        key = str(label)
         try:
-            return self.index_of[key]
+            return self.index_of[str(label)]
         except KeyError:
             raise ValueError(
                 f"pattern {self.name!r} has no qubit {label!r}; "
                 f"labels: {', '.join(self.labels)}"
             ) from None
+
+    def check_labels(self, labels: Iterable) -> tuple:
+        """``labels`` as strings in vertex order, refused if one is unknown or repeated.
+
+        Labels match as strings: an int names the label it prints as, not
+        the vertex of that index (on cz, ``2`` names the qubit labelled "2",
+        and ``0`` names no qubit), so ``1`` and ``"1"`` are one qubit.
+        """
+        indices: set = set()
+        for label in labels:
+            index = self.to_index(label)
+            if index in indices:
+                raise ValueError(f"qubit {str(label)!r} listed twice")
+            indices.add(index)
+        return tuple(self.labels[i] for i in sorted(indices))
 
     def validate(self) -> None:
         measured = set(self.measure_order)
@@ -200,7 +220,7 @@ _WITNESS_GROUPS = {
 
 
 class PatternRegistry:
-    """Immutable pattern store with a witness cache that keeps each gate's latest theta."""
+    """Immutable pattern store, and the one cache of what is built per gate (``cached``)."""
 
     def __init__(self, patterns: dict):
         for pat in patterns.values():
@@ -209,32 +229,38 @@ class PatternRegistry:
         if missing:
             raise ValueError(f"registry is missing patterns: {', '.join(missing)}")
         self._patterns = dict(patterns)
-        self._witness_cache: dict = {}   # gate kind -> (theta, witness)
-        self._cluster_cache: dict = {}
+        self._cache: dict = {}   # (artefact, gate kind) -> (theta, value)
 
     def pattern_for(self, gate: GateKind) -> MeasurementPattern:
         return self._patterns[gate.kind]
 
+    def cached(self, artefact: str, kind: str, theta: float | None, build: Callable):
+        """``build()``, kept under ``(artefact, kind)`` for ``theta`` only.
+
+        A different theta drops the stored value before ``build`` runs, so an
+        angle sweep never holds two values of one artefact. An artefact that
+        does not depend on the angle passes ``theta=None``.
+        """
+        key = (artefact, kind)
+        entry = self._cache.get(key)
+        if entry is None or entry[0] != theta:
+            self._cache.pop(key, None)
+            entry = None  # free the old angle's value before building this one
+            entry = self._cache[key] = (theta, build())
+        return entry[1]
+
     def cluster_state(self, gate: GateKind) -> np.ndarray:
         """The (cached, read-only) pristine cluster state of the gate's graph."""
-        key = gate.kind
-        if key not in self._cluster_cache:
-            self._cluster_cache[key] = build_cluster_state(self.pattern_for(gate).graph)
-        return self._cluster_cache[key]
+        return self.cached(
+            "cluster", gate.kind, None, lambda: build_cluster_state(self.pattern_for(gate).graph)
+        )
 
     def witness_for(self, gate: GateKind) -> np.ndarray:
         """The (cached, read-only) witness: the product of its factors, in order.
 
-        It is stored column-major (see ``_build_witness``). Only the latest
-        theta is kept per gate kind, so an angle sweep holds one witness, not
-        one per angle.
+        It is stored column-major (see ``_build_witness``).
         """
-        theta, witness = self._witness_cache.pop(gate.kind, (None, None))
-        if theta != gate.theta:
-            del witness  # free the old angle's witness before building this one
-            witness = self._build_witness(gate)
-        self._witness_cache[gate.kind] = (gate.theta, witness)
-        return witness
+        return self.cached("witness", gate.kind, gate.theta, lambda: self._build_witness(gate))
 
     def witness_factors(self, gate: GateKind) -> Iterator[WitnessFactor]:
         """Build the witness's factors one at a time, in product order.

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterfid import analysis
 from clusterfid.analysis import (
     DEFAULT_GRID,
     IMMUNITY_ATOL,
@@ -113,6 +114,9 @@ class TestImmunity:
         assert ("0", "bitflip") not in immune
         assert ("1", "dephasing") not in immune
 
+    def test_no_channels_means_no_immune_pairs(self, registry):
+        assert immunity_scan(IDENTITY, registry, channels={}) == []
+
     def test_x_measured_qubits_are_bitflip_immune_everywhere(self, registry):
         for gate in ALL_GATES:
             pat = registry.pattern_for(gate)
@@ -182,6 +186,19 @@ class TestComparePatterns:
         )
         assert abs(rep.slope_a - rep.slope_b) <= 1e-6
         assert abs(abs(rep.slope_a) - 3.0) <= 1e-6
+
+    def test_evaluates_the_curves_and_the_two_set_slopes_only(self, registry, monkeypatch):
+        # 2 curves x 11 points and 2 slopes x 3 points; the exposed qubits'
+        # own slopes are not computed
+        calls = []
+        formula = analysis.fidelity_formula
+        monkeypatch.setattr(
+            analysis, "fidelity_formula", lambda *args: calls.append(args) or formula(*args)
+        )
+        rep = compare_patterns(HADAMARD, dephasing, [1, 3, 5], [1, 2, 3], registry=registry)
+        assert len(calls) == 2 * 11 + 2 * 3
+        exposed_a = ("0", "2", "4", "6")
+        assert rep.slope_a == initial_slope(HADAMARD, dephasing, exposed_a, registry).slope
 
     def test_curves_start_at_one(self, registry):
         rep = compare_patterns(IDENTITY, bit_flip, ["1"], ["5"], registry=registry)

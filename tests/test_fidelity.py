@@ -16,7 +16,7 @@ from clusterfid.channels import (
     bit_flip,
     dephasing,
 )
-from clusterfid.engine import conjugate_on_qubit, embed
+from clusterfid.engine import CapacityError, conjugate_on_qubit, embed
 from clusterfid.fidelity import (
     FidelityResult,
     cross_validate,
@@ -24,10 +24,14 @@ from clusterfid.fidelity import (
     mbqc_oracle,
     resolve_assignment,
 )
+from clusterfid.graphs import Graph
 from clusterfid.patterns import (
     CONTROLLED_Z,
     HADAMARD,
     IDENTITY,
+    BasisSpec,
+    MeasurementPattern,
+    PatternRegistry,
     default_registry,
     load_registry,
     parse_registry_text,
@@ -186,6 +190,32 @@ class TestOracle:
         calls.clear()
         mbqc_oracle(gate, assignment, registry)
         assert len(calls) == projections
+
+    def test_branch_table_is_kept_in_the_registry_for_the_latest_angle(self):
+        registry = load_registry()
+        state = registry.cluster_state(z_rotation(0.3))
+        mbqc_oracle(z_rotation(0.3), {}, registry)
+        table = registry.cached("branches", "zrot", 0.3, lambda: pytest.fail("rebuilt"))
+        assert len(table[1]) == 2 ** 5
+        mbqc_oracle(z_rotation(0.9), {}, registry)
+        assert registry.cached("branches", "zrot", 0.3, lambda: "rebuilt") == "rebuilt"
+        # the cluster state does not depend on the angle
+        assert registry.cluster_state(z_rotation(0.9)) is state
+
+    def test_pattern_beyond_the_engine_limit_is_refused_before_any_walk(self, monkeypatch):
+        # the registry parser refuses n > 12, so a 13-vertex chain, every
+        # qubit measured, goes straight into a registry: the cluster state
+        # is refused before the walk would enumerate 2^13 branches
+        labels = tuple(str(i) for i in range(13))
+        big = MeasurementPattern(
+            name="identity", graph=Graph.chain(13), labels=labels, input_labels=(),
+            output_labels=(), measure_order=labels,
+            bases={lab: BasisSpec("X") for lab in labels},
+        )
+        registry = PatternRegistry({**default_registry()._patterns, "identity": big})
+        monkeypatch.setattr(fidelity, "_walk_branches", lambda *args: pytest.fail("walked"))
+        with pytest.raises(CapacityError, match="^13 qubits exceeds the engine limit of 12$"):
+            mbqc_oracle(IDENTITY, {}, registry)
 
     def test_agrees_with_formula_on_random_assignments(self, registry, rng):
         families = list(BUILTIN_CHANNELS.values())
