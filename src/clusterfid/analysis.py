@@ -109,7 +109,8 @@ def sweep_curve(
     evaluate = fidelity_formula if method == "formula" else mbqc_oracle
 
     def point(p: float):
-        assignment = {lab: channel_family(p) for lab in exposed}
+        # one channel per grid point, shared by every exposed qubit
+        assignment = dict.fromkeys(exposed, channel_family(p))
         return (p, evaluate(gate, assignment, registry).raw_value)
 
     channel_name = channel_family(0.0).name
@@ -169,8 +170,7 @@ def _slope(gate: GateKind, channel_family: ChannelFamily, labels: tuple,
         return 0.0
 
     def f(p: float) -> float:
-        assignment = {lab: channel_family(p) for lab in labels}
-        return fidelity_formula(gate, assignment, registry).raw_value
+        return fidelity_formula(gate, dict.fromkeys(labels, channel_family(p)), registry).raw_value
 
     h = SLOPE_STEP
     f0 = f(0.0)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -64,7 +64,12 @@ class KrausChannel:
         object.__setattr__(self, "operators", ops)
 
     def apply_single(self, rho2: np.ndarray) -> np.ndarray:
-        """Apply to a bare 2x2 density matrix (mostly for tests and demos)."""
+        """Apply to a bare 2x2 density matrix, as the sum over the Kraus operators.
+
+        No evaluator calls it (they use ``apply_assignment``): it is kept on
+        purpose as the tests' one-qubit reference for each channel's action,
+        and the demos use it to show that action.
+        """
         return sum(op @ rho2 @ op.conj().T for op in self.operators)
 
 
@@ -110,9 +115,6 @@ BUILTIN_CHANNELS: dict[str, Callable[[float], KrausChannel]] = {
     "phasedamp": phase_damping,
     "ampdamp": amplitude_damping,
 }
-
-#: Assignment of channels to qubit indices; unlisted qubits are noise-free.
-NoiseAssignment = Mapping[int, KrausChannel]
 
 
 def channel_family(name: str) -> Callable[[float], KrausChannel]:
@@ -162,8 +164,8 @@ def parse_channel_spec(spec: str) -> KrausChannel:
     return channel_family(name.strip())(float(arg))
 
 
-def apply_assignment(mat: np.ndarray, assignment: NoiseAssignment) -> np.ndarray:
-    """Apply each qubit's channel in turn to the state ``mat``.
+def apply_assignment(mat: np.ndarray, assignment: dict) -> np.ndarray:
+    """Apply each qubit's channel (keyed by qubit index) in turn to the state ``mat``.
 
     Channels on distinct qubits commute, so the iteration order cannot
     change the result; qubits are visited in ascending order anyway to keep

@@ -27,7 +27,7 @@ from .channels import BUILTIN_CHANNELS, channel_family, parse_channel_spec
 from .engine import CapacityError, expectation
 from .fidelity import cross_validate, fidelity_formula, mbqc_oracle
 from .graphs import build_cluster_state, cluster_state_projector_product, stabilizer
-from .patterns import GateKind, load_registry, parse_gate
+from .patterns import GATE_KINDS, GateKind, load_registry, parse_gate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -82,22 +82,16 @@ def _exposed_qubits(spec: str, pattern) -> list:
 
 
 def _gate_from_args(args) -> GateKind:
-    return parse_gate(args.gate, getattr(args, "theta", 0.0))
-
-
-def _open_output(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+    return parse_gate(args.gate, args.theta)
 
 
 def _write_lines(path: str | None, lines: list) -> None:
-    out, close = _open_output(path)
-    try:
-        out.write("\n".join(lines) + "\n")
-    finally:
-        if close:
-            out.close()
+    text = "\n".join(lines) + "\n"
+    if path is None or path == "-":
+        sys.stdout.write(text)
+        return
+    with open(path, "w") as out:
+        out.write(text)
 
 
 def cmd_curve(args) -> int:
@@ -206,12 +200,7 @@ def _validate_checks(registry):
     """Yield (name, ok, detail) tuples for the full invariant suite."""
     from .patterns import witness_expectation_noiseless
 
-    gates = [
-        GateKind("identity"),
-        GateKind("hadamard"),
-        parse_gate("zrot", 0.7853981633974483),
-        GateKind("cz"),
-    ]
+    gates = [parse_gate(kind, math.pi / 4 if kind == "zrot" else 0.0) for kind in GATE_KINDS]
 
     for gate in gates:
         val = witness_expectation_noiseless(registry, gate)
@@ -223,8 +212,7 @@ def _validate_checks(registry):
 
     for gate in gates:
         worst = 0.0
-        for fac in registry.witness_factors(gate):
-            m = fac.matrix
+        for m in registry.witness_factors(gate):
             worst = max(
                 worst,
                 float(np.max(np.abs(m @ m - m))),
@@ -283,10 +271,7 @@ def _validate_checks(registry):
 
     gate = gates[0]
     lab = registry.pattern_for(gate).labels[1]
-    _, probs = mbqc_oracle(
-        gate, {lab: amplitude_damping(0.3)}, registry, return_branch_probabilities=True
-    )
-    total = sum(probs)
+    total = sum(mbqc_oracle(gate, {lab: amplitude_damping(0.3)}, registry).branch_probabilities)
     yield (
         "oracle branch probabilities sum to 1",
         abs(total - 1.0) <= 1e-10,
@@ -330,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_gate(p):
-        p.add_argument("--gate", required=True, choices=["identity", "hadamard", "zrot", "cz"])
+        p.add_argument("--gate", required=True, choices=GATE_KINDS)
         p.add_argument("--theta", type=float, default=0.0, help="zrot angle in radians")
 
     p = sub.add_parser("curve", help="fidelity-vs-error-rate sweep (CSV)")

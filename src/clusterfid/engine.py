@@ -46,7 +46,10 @@ def embed(op: np.ndarray, targets: list[int], num_qubits: int) -> np.ndarray:
     """Lift ``op`` (acting on ``targets``, in that order) to the full register.
 
     The returned operator acts as ``op`` on the target qubits and as the
-    identity elsewhere, under the qubit-0-most-significant convention.
+    identity elsewhere, under the qubit-0-most-significant convention. No
+    evaluator builds full-register operators: ``embed`` is kept on purpose as
+    the dense reference the tests (and ``demos/04``) check the axis-wise
+    kernels and the byproduct corrections against.
     """
     op = _as_matrix(op)
     targets = list(targets)

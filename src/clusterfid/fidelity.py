@@ -9,7 +9,8 @@ kept qubits, applies the byproduct corrections, and averages Tr(sigma_m sigma)
 under the noisy branch probabilities against one ideal output sigma: the
 byproducts make every branch realize the same gate, so a wrong byproduct
 table lowers the value. The two must agree; ``cross_validate`` reports the
-worst difference.
+worst difference. Both return a ``FidelityResult``; the oracle's also holds
+the probability of each branch it weighed (``branch_probabilities``).
 
 The two evaluators share the engine, the registry and ``apply_assignment``,
 but no intermediate: each applies the channels to the registry's pristine
@@ -48,6 +49,7 @@ class FidelityResult:
     assignment: str          # human-readable summary of the noise assignment
     raw_value: float         # unclipped, for tolerance checks
     method: str              # 'formula' | 'oracle'
+    branch_probabilities: tuple = ()   # the oracle's weighted branches, in walk order
 
     def __post_init__(self):
         if not (-1e-9 <= self.raw_value <= 1 + 1e-9):
@@ -180,12 +182,12 @@ def mbqc_oracle(
     gate: GateKind,
     assignment: dict | None = None,
     registry: PatternRegistry | None = None,
-    return_branch_probabilities: bool = False,
-):
+) -> FidelityResult:
     """Exhaustive measurement-branch simulation of the pattern.
 
     Independent of the witness formulas: the only shared machinery is the
     dense engine, channel application and the pattern registry itself.
+    The result carries the probability of every branch with weight.
     """
     registry = registry or default_registry()
     pattern = registry.pattern_for(gate)
@@ -208,8 +210,9 @@ def mbqc_oracle(
         corrected = corr @ reduced @ corr.conj().T
         # prob * Tr(sigma_m sigma) with sigma_m = corrected / prob
         total += float(np.trace(corrected @ ideal).real)
-    result = FidelityResult(gate, describe_assignment(pattern, resolved), total, "oracle")
-    return (result, probs) if return_branch_probabilities else result
+    return FidelityResult(
+        gate, describe_assignment(pattern, resolved), total, "oracle", tuple(probs)
+    )
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,9 @@ expectation of the witness on the noisy pre-measurement cluster state
 equals the branch-averaged gate fidelity; ``cli.cmd_validate`` and the test
 suite hold the registry to that via the independent branch oracle.
 
+``GATE_KINDS`` is the one list of gate kinds: the CLI's choices, the
+gates ``validate`` checks, and the sections a registry file may hold.
+``GateKind`` alone refuses an angle on a gate other than zrot.
 A pattern maps labels to vertices and orders its kept qubits once;
 ``MeasurementPattern.check_labels`` is the one check of a list of labels.
 ``PatternRegistry.cached`` is the one cache of what is built per gate
@@ -44,18 +47,20 @@ import numpy as np
 from .engine import MAX_QUBITS, CapacityError, expectation, read_only
 from .graphs import Graph, PauliString, build_cluster_state, stabilizer
 
-_VALID_GATES = ("identity", "hadamard", "zrot", "cz")
+#: The gate kinds, in the order the CLI and ``validate`` list them; a registry
+#: holds one ``[section]`` per kind and no other.
+GATE_KINDS = ("identity", "hadamard", "zrot", "cz")
 
 
 @dataclass(frozen=True)
 class GateKind:
-    """One member of the universal gate set; ``theta`` only matters for zrot."""
+    """One member of the universal gate set; only zrot takes an angle ``theta``."""
 
     kind: str
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _VALID_GATES:
+        if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if not np.isfinite(self.theta):
             raise ValueError("theta must be finite")
@@ -78,10 +83,7 @@ def z_rotation(theta: float) -> GateKind:
 
 
 def parse_gate(name: str, theta: float = 0.0) -> GateKind:
-    name = name.strip().lower()
-    if name == "zrot":
-        return z_rotation(theta)
-    return GateKind(name)
+    return GateKind(name.strip().lower(), float(theta))
 
 
 @dataclass(frozen=True)
@@ -155,8 +157,11 @@ class MeasurementPattern:
 
         Labels match as strings: an int names the label it prints as, not
         the vertex of that index (on cz, ``2`` names the qubit labelled "2",
-        and ``0`` names no qubit), so ``1`` and ``"1"`` are one qubit.
+        and ``0`` names no qubit), so ``1`` and ``"1"`` are one qubit. A bare
+        string is refused, not read as a list of one-character labels.
         """
+        if isinstance(labels, str):
+            raise ValueError(f"expected a collection of qubit labels, got the string {labels!r}")
         indices: set = set()
         for label in labels:
             index = self.to_index(label)
@@ -197,18 +202,6 @@ class MeasurementPattern:
                     raise ValueError(f"{self.name}: byproduct source {src} not measured")
 
 
-@dataclass(frozen=True)
-class WitnessFactor:
-    """One (1 + S)/2 projector factor of a witness.
-
-    ``stabilizer_labels`` records which vertex stabilizers make up S (the
-    grouping the controlling-pattern analysis talks about).
-    """
-
-    stabilizer_labels: tuple
-    matrix: np.ndarray
-
-
 #: Stabilizer labels of each gate's (1 + S)/2 factors, in product order; the
 #: Z-rotation's angle-dependent factor follows its one projector factor.
 _WITNESS_GROUPS = {
@@ -225,7 +218,7 @@ class PatternRegistry:
     def __init__(self, patterns: dict):
         for pat in patterns.values():
             pat.validate()
-        missing = [g for g in _VALID_GATES if g not in patterns]
+        missing = [g for g in GATE_KINDS if g not in patterns]
         if missing:
             raise ValueError(f"registry is missing patterns: {', '.join(missing)}")
         self._patterns = dict(patterns)
@@ -262,8 +255,8 @@ class PatternRegistry:
         """
         return self.cached("witness", gate.kind, gate.theta, lambda: self._build_witness(gate))
 
-    def witness_factors(self, gate: GateKind) -> Iterator[WitnessFactor]:
-        """Build the witness's factors one at a time, in product order.
+    def witness_factors(self, gate: GateKind) -> Iterator[np.ndarray]:
+        """Build the witness's factor matrices one at a time, in product order.
 
         Nothing is cached: the registry keeps only the product, so a caller
         that needs the factors holds one dense factor at a time.
@@ -271,7 +264,7 @@ class PatternRegistry:
         pat = self.pattern_for(gate)
         for labels in _WITNESS_GROUPS[gate.kind]:
             eye = np.eye(2**pat.graph.num_vertices, dtype=complex)
-            yield WitnessFactor(labels, self._stabs(pat, labels).project(eye))
+            yield self._stabs(pat, labels).project(eye)
         if gate.kind == "zrot":
             yield self._rotation_factor(pat, gate.theta)
 
@@ -292,14 +285,14 @@ class PatternRegistry:
         """
         pat = self.pattern_for(gate)
         if gate.kind == "zrot":
-            combined = self._rotation_factor(pat, gate.theta).matrix
+            combined = self._rotation_factor(pat, gate.theta)
         else:
             combined = np.eye(2**pat.graph.num_vertices, dtype=complex)
         for labels in reversed(_WITNESS_GROUPS[gate.kind]):
             combined = self._stabs(pat, labels).project(combined)
         return read_only(np.asfortranarray(combined))
 
-    def _rotation_factor(self, pat: MeasurementPattern, theta: float) -> WitnessFactor:
+    def _rotation_factor(self, pat: MeasurementPattern, theta: float) -> np.ndarray:
         """The angle-dependent factor of the Z-rotation witness.
 
         Its four Pauli terms are added onto the identity by scatters; the two
@@ -321,7 +314,7 @@ class PatternRegistry:
             rows, values = pauli.columns()
             mat[rows, cols] += scale * values
         mat /= 2.0
-        return WitnessFactor(("1", "2", "3", "4", "5"), mat)
+        return mat
 
 
 # -- registry file parsing ----------------------------------------------------
@@ -454,6 +447,11 @@ def parse_registry_text(text: str) -> PatternRegistry:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
+            if current not in GATE_KINDS:
+                raise ValueError(
+                    f"line {lineno}: section [{current}] is not a gate kind; "
+                    f"gate kinds: {', '.join(GATE_KINDS)}"
+                )
             if current in sections:
                 raise ValueError(f"line {lineno}: duplicate section [{current}]")
             sections[current] = []

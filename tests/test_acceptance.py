@@ -356,10 +356,7 @@ def test_criterion_8_property_suites(registry, rng):
     worst_psum = 0.0
     for gate in ALL_GATES:
         label = registry.pattern_for(gate).labels[1]
-        _, probs = mbqc_oracle(
-            gate, {label: amplitude_damping(0.4)}, registry,
-            return_branch_probabilities=True,
-        )
+        probs = mbqc_oracle(gate, {label: amplitude_damping(0.4)}, registry).branch_probabilities
         worst_psum = max(worst_psum, abs(sum(probs) - 1.0))
     if worst_psum > 1e-10:
         failures.append(f"branch probability sum {worst_psum:.2e}")

@@ -466,6 +466,28 @@ class TestHostileInputs:
         )
         assert "error rate" in err
 
+    @pytest.mark.parametrize("kind", ["identity", "hadamard", "cz"])
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--channel", "dephasing", "--qubit", "1"],
+        ["scan-immunity"],
+        ["compare", "--channel", "dephasing", "--protectA", "1", "--protectB", "2"],
+        ["eval", "--channel", "dephasing(0.2)", "--qubit", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_angle_on_a_gate_other_than_zrot(self, argv, kind, capsys):
+        err = self.refused(argv + ["--gate", kind, "--theta", "0.5"], capsys)
+        assert err == f"error: {kind} takes no angle\n"
+
+    def test_registry_section_that_is_not_a_gate_kind(self, capsys, tmp_path):
+        from importlib import resources
+
+        text = resources.files("clusterfid").joinpath("data/patterns.txt").read_text()
+        assert text.endswith("\n")
+        bad = tmp_path / "registry.txt"
+        bad.write_text(text + "[toffoli]\nn 3\n")
+        err = self.refused(["--registry", str(bad), "validate"], capsys)
+        line = len(text.splitlines()) + 1
+        assert err.startswith(f"error: line {line}: section [toffoli] is not a gate kind")
+
     def test_byproduct_on_unknown_label(self, capsys, tmp_path):
         from importlib import resources
 

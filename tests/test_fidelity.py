@@ -147,24 +147,19 @@ class TestOracle:
 
     @pytest.mark.parametrize("gate", ALL_GATES)
     def test_branch_probabilities_sum_to_one(self, registry, gate):
-        _, probs = mbqc_oracle(
-            gate, {"1": amplitude_damping(0.35)}, registry,
-            return_branch_probabilities=True,
-        )
+        probs = mbqc_oracle(gate, {"1": amplitude_damping(0.35)}, registry).branch_probabilities
         assert abs(sum(probs) - 1.0) <= 1e-10
 
     def test_zero_probability_branches_skipped(self, registry):
         # amplitude damping at p=1 pins the trimmed end to |0>, killing the
         # s0=1 branches; the skipped branches carry zero weight and the
         # closed form still matches.
-        res, probs = mbqc_oracle(
-            IDENTITY, {"0": amplitude_damping(1.0)}, registry,
-            return_branch_probabilities=True,
-        )
-        assert len(probs) < 32
-        assert abs(sum(probs) - 1.0) <= 1e-10
+        res = mbqc_oracle(IDENTITY, {"0": amplitude_damping(1.0)}, registry)
+        assert len(res.branch_probabilities) < 32
+        assert abs(sum(res.branch_probabilities) - 1.0) <= 1e-10
         ref = fidelity_formula(IDENTITY, {"0": amplitude_damping(1.0)}, registry)
         assert abs(res.raw_value - ref.raw_value) <= 1e-9
+        assert ref.branch_probabilities == ()
 
     @pytest.mark.parametrize("gate, projections", [
         (IDENTITY, 62), (HADAMARD, 62), (z_rotation(1.1), 62), (CONTROLLED_Z, 30),
@@ -319,12 +314,12 @@ class TestSharedNoisyState:
                 for lab in chosen
             }
             before = len(calls)
-            alone = mbqc_oracle(gate, assignment, registry, return_branch_probabilities=True)
+            alone = mbqc_oracle(gate, assignment, registry)
             formula = fidelity_formula(gate, assignment, registry)
-            after = mbqc_oracle(gate, assignment, registry, return_branch_probabilities=True)
+            after = mbqc_oracle(gate, assignment, registry)
             assert len(calls) - before == 3
-            assert after[0].raw_value == alone[0].raw_value
-            assert after[1] == alone[1]
+            assert after.raw_value == alone.raw_value
+            assert after.branch_probabilities == alone.branch_probabilities
             assert fidelity_formula(gate, assignment, registry).raw_value == formula.raw_value
 
 
@@ -375,10 +370,10 @@ def test_random_cptp_maps_formula_equals_oracle(case):
     gate, assignment = case
     registry = default_registry()
     formula = fidelity_formula(gate, assignment, registry).raw_value
-    oracle, probs = mbqc_oracle(gate, assignment, registry, return_branch_probabilities=True)
+    oracle = mbqc_oracle(gate, assignment, registry)
     assert abs(formula - oracle.raw_value) <= 1e-9
     assert -1e-9 <= oracle.raw_value <= 1 + 1e-9
-    assert abs(sum(probs) - 1.0) <= 1e-10
+    assert abs(sum(oracle.branch_probabilities) - 1.0) <= 1e-10
 
 
 def _unpermuted_walk(pattern, theta, rho):

@@ -1,8 +1,8 @@
 """One label rule at every entry point that takes qubit labels.
 
-``MeasurementPattern.check_labels`` refuses an unknown label and a label
-given twice, matching labels as strings, so ``1`` and ``"1"`` are one
-qubit. The library raises ``ValueError`` with its message; the CLI exits 2
+``MeasurementPattern.check_labels`` refuses an unknown label, a label
+given twice, and a bare string in place of a collection of labels,
+matching labels as strings, so ``1`` and ``"1"`` are one qubit. The library raises ``ValueError`` with its message; the CLI exits 2
 with that message on stderr and nothing on stdout.
 """
 
@@ -61,6 +61,20 @@ def test_library_refuses_with_the_one_message(registry, entry, case):
     call = {**BY_ASSIGNMENT, **BY_LIST}[entry]
     with pytest.raises(ValueError, match=re.escape(message)):
         call(registry, labels)
+
+
+#: Each entry point given the bare string "13", which is not qubits 1 and 3.
+BARE_STRING = {
+    "fidelity_formula": lambda reg: fidelity_formula(IDENTITY, "13", reg),
+    "mbqc_oracle": lambda reg: mbqc_oracle(IDENTITY, "13", reg),
+    **{name: (lambda reg, call=call: call(reg, "13")) for name, call in BY_LIST.items()},
+}
+
+
+@pytest.mark.parametrize("entry", BARE_STRING)
+def test_library_refuses_a_bare_string(registry, entry):
+    with pytest.raises(ValueError, match="got the string '13'"):
+        BARE_STRING[entry](registry)
 
 
 #: CLI labels are strings, so a label repeats only as itself.

@@ -12,7 +12,7 @@ Run from the root of a checkout (the package is imported from its ``src/``):
 - ``demos``:   the stdout of every script under ``demos/``.
 
 Two checkouts that print the same three lines compute the same numbers,
-witnesses and demo output. It takes a minute or two.
+witnesses and demo output. It takes about 22 s on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -70,12 +70,10 @@ def values_digest(registry) -> str:
     for gate, assignment in assignments(registry):
         # each evaluator applies the channels itself, so the order of the
         # two calls does not matter
-        oracle, probs = mbqc_oracle(
-            gate, assignment, registry, return_branch_probabilities=True
-        )
+        oracle = mbqc_oracle(gate, assignment, registry)
         formula = fidelity_formula(gate, assignment, registry)
         fields = [str(gate), formula.assignment, formula.raw_value.hex(), oracle.raw_value.hex()]
-        fields += [p.hex() for p in probs]
+        fields += [p.hex() for p in oracle.branch_probabilities]
         h.update((" ".join(fields) + "\n").encode())
     return h.hexdigest()
 
