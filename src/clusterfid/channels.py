@@ -43,25 +43,31 @@ class KrausChannel:
     operators: tuple
 
     def __post_init__(self):
-        # copies: freezing the caller's own array would let them unfreeze it
-        # and edit a channel whose completeness was already checked
-        ops = tuple(np.array(op, dtype=complex) for op in self.operators)
+        # one stacked copy: freezing the caller's own array would let them
+        # unfreeze it and edit a channel whose completeness was already checked
+        ops = tuple(self.operators)
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
-        for op in ops:
-            if op.shape != (2, 2):
-                raise ValueError(f"Kraus operators must be 2x2, got {op.shape}")
-            if not np.all(np.isfinite(op)):
-                raise ValueError("Kraus operators must have finite entries")
-            op.flags.writeable = False
-        acc = sum(op.conj().T @ op for op in ops)
-        dev = np.max(np.abs(acc - _I2))
+        try:
+            stack = np.array(ops, dtype=complex)
+        except ValueError:  # operators of different shapes do not stack
+            stack = None
+        if stack is None or stack.shape[1:] != (2, 2):
+            for op in ops:
+                if (shape := np.array(op, dtype=complex).shape) != (2, 2):
+                    raise ValueError(f"Kraus operators must be 2x2, got {shape}")
+        if not np.isfinite(stack).all():
+            raise ValueError("Kraus operators must have finite entries")
+        stack.flags.writeable = False
+        # sum_K K^dag K as one product of the stacked (2k, 2) column pair
+        pairs = stack.reshape(-1, 2)
+        dev = np.max(np.abs(pairs.conj().T @ pairs - _I2))
         if dev > COMPLETENESS_ATOL:
             raise ValueError(
                 f"channel {self.name!r} violates completeness: "
                 f"max |sum E^dag E - I| = {dev:.3e}"
             )
-        object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "operators", tuple(stack))
 
     def apply_single(self, rho2: np.ndarray) -> np.ndarray:
         """Apply to a bare 2x2 density matrix, as the sum over the Kraus operators.
@@ -169,9 +175,12 @@ def apply_assignment(mat: np.ndarray, assignment: dict) -> np.ndarray:
 
     Channels on distinct qubits commute, so the iteration order cannot
     change the result; qubits are visited in ascending order anyway to keep
-    rounding deterministic. The result is a fresh writable array that the
-    caller owns, except that an empty assignment returns a read-only view of
-    ``mat`` itself, not a copy.
+    rounding deterministic. ``fidelity_formula`` relies on that order: it
+    passes every channel but the highest qubit's here and applies that one
+    last, at the witness's nonzero entries, so each entry is rounded as the
+    full assignment would round it. The result is a fresh writable array
+    that the caller owns, except that an empty assignment returns a
+    read-only view of ``mat`` itself, not a copy.
 
     Every target is checked before any work is done. Each channel is then
     one ``apply_kraus`` pass on its qubit's own tensor axes.

@@ -14,11 +14,11 @@ the probability of each branch it weighed (``branch_probabilities``).
 
 The two evaluators share the engine, the registry and ``apply_assignment``,
 but no intermediate: each applies the channels to the registry's pristine
-cluster state itself. The formula owns the noisy state it gets back, so it
-takes the trace against the column-major witness in place, over that state.
-The registry keeps what each gate needs again (its cluster state, witness
-and branch table) for the latest theta only. Assignments are keyed by qubit
-label and checked by ``MeasurementPattern.check_labels``.
+cluster state itself. The formula reads the witness only where it is
+nonzero, so it applies its last channel only there, and no dense witness is
+needed. The registry keeps what each gate needs again (its cluster state,
+witness support and branch table) for the latest theta only. Assignments
+are keyed by qubit label and checked by ``MeasurementPattern.check_labels``.
 """
 
 from __future__ import annotations
@@ -31,11 +31,13 @@ import numpy as np
 
 from .engine import (
     BRANCH_EPS,
+    apply_kraus_at,
     conjugate_on_qubit,
-    expectation,
     partial_trace_raw,
     permute_qubits,
 )
+# Unused here, but the benchmark tracer (perfbench/tracing.py) wraps this site.
+from .engine import expectation  # noqa: F401
 from .channels import apply_assignment
 from .graphs import PauliString
 from .patterns import GateKind, MeasurementPattern, PatternRegistry, default_registry
@@ -87,15 +89,35 @@ def fidelity_formula(
 ) -> FidelityResult:
     """Closed-form average gate fidelity: Tr(noisy cluster x witness).
 
-    The call allocates only its noisy state: the elementwise product with
-    the transposed witness is written over it, and then summed.
+    Tr(rho W) is the sum of the elementwise product rho * W^T, and W^T is
+    nonzero at 3-7 % of its entries (``PatternRegistry.witness_support``).
+    So every channel but the last one (the highest qubit) is applied to the
+    whole state, by ``apply_assignment`` in ascending qubit order, and the
+    last one only at those entries (``engine.apply_kraus_at``). An empty
+    assignment gathers the pristine state there. The products are scattered
+    into a zeroed matrix and summed by ``np.sum`` over all of it: the
+    entries left out are the exact zeros of the full product, so the sum
+    pairs the same terms and the value keeps every bit of the dense trace.
     """
     registry = registry or default_registry()
     pattern = registry.pattern_for(gate)
     resolved = resolve_assignment(pattern, assignment or {})
-    rho = apply_assignment(registry.cluster_state(gate), resolved)
-    # a noisy rho is this call's own array, so the product overwrites it
-    val = expectation(rho, registry.witness_for(gate), out=rho if resolved else None)
+    flat, values = registry.witness_support(gate)
+    clean = registry.cluster_state(gate)
+    last = max(resolved, default=None)
+    rho = apply_assignment(clean, {q: ch for q, ch in resolved.items() if q != last})
+    if last is None:
+        entries = rho.reshape(-1)[flat]
+    else:
+        n = pattern.graph.num_vertices
+        entries = apply_kraus_at(rho, resolved[last].operators, last, n, flat)
+    del rho  # hold no noisy state while the product is summed
+    weighted = entries * values
+    del entries
+    product = np.zeros(clean.shape, dtype=complex)
+    product.reshape(-1)[flat] = weighted
+    del weighted
+    val = complex(np.sum(product))
     if abs(val.imag) > 1e-10:
         raise ValueError(f"witness expectation has imaginary part {val.imag:.3e}")
     return FidelityResult(

@@ -68,6 +68,24 @@ class TestConstructors:
         k0[1, 1] = 5
         assert np.array_equal(channel.operators[0], np.eye(2))
 
+    @pytest.mark.parametrize("family", list(BUILTIN_CHANNELS.values()))
+    def test_every_builtin_rate_on_a_grid_of_hundredths_is_accepted(self, family):
+        for k in range(101):
+            channel = family(k / 100)
+            assert all(not op.flags.writeable for op in channel.operators)
+
+    @pytest.mark.parametrize("operators, message", [
+        ((), "at least one Kraus operator"),
+        ((np.eye(4),), r"must be 2x2, got \(4, 4\)"),
+        ((np.eye(2), np.eye(4)), r"must be 2x2, got \(4, 4\)"),
+        ((np.zeros(2),), r"must be 2x2, got \(2,\)"),
+        (([[np.inf, 0], [0, 1]],), "finite entries"),
+        (([[np.nan, 0], [0, 1]], np.eye(2)), "finite entries"),
+    ], ids=["empty", "4x4", "mixed shapes", "vector", "inf", "nan"])
+    def test_malformed_operators_are_refused(self, operators, message):
+        with pytest.raises(ValueError, match=message):
+            KrausChannel("bad", 0.0, operators)
+
     def test_generic_channel_completeness_enforced(self):
         ok = KrausChannel("ok", 0.0, (np.eye(2),))
         assert len(ok.operators) == 1

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from clusterfid.channels import BUILTIN_CHANNELS
 from clusterfid.engine import (
     apply_kraus,
+    apply_kraus_at,
     conjugate_on_qubit,
     embed,
     expectation,
     partial_trace_raw,
     read_only,
 )
-from conftest import assert_density_matrix, pure_density, random_density_matrix
+from conftest import assert_density_matrix, pure_density, random_channel, random_density_matrix
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -126,6 +128,61 @@ class TestApplyKraus:
             apply_kraus(mat, [X], 2, 2)
 
 
+def _some_entries(rng, n) -> np.ndarray:
+    """About a tenth of the C-order flat indices of a 2^n x 2^n matrix, ascending."""
+    d = 4**n
+    return np.sort(rng.choice(d, size=max(1, d // 10), replace=False))
+
+
+class TestApplyKrausAt:
+    """The Kraus sum at chosen entries is the dense ``apply_kraus`` there."""
+
+    def test_builtin_channels_are_bitwise_the_dense_sum(self, rng):
+        for n in range(1, 9):
+            mat = read_only(random_density_matrix(rng, n))
+            flat = _some_entries(rng, n)
+            for q in range(n):
+                for family in BUILTIN_CHANNELS.values():
+                    for p in (0.0, 0.37, 1.0):
+                        ops = family(p).operators
+                        dense = apply_kraus(mat, ops, q, n).reshape(-1)[flat]
+                        assert np.array_equal(apply_kraus_at(mat, ops, q, n, flat), dense)
+
+    def test_random_channels_are_bitwise_the_dense_sum(self, rng):
+        # up to four terms per entry, added in the dense kernel's order
+        for n in range(1, 9):
+            mat = random_density_matrix(rng, n)
+            flat = _some_entries(rng, n)
+            for q in range(n):
+                for count in (1, 2, 3, 4):
+                    ops = random_channel(rng.normal(size=8 * count)).operators
+                    dense = apply_kraus(mat, ops, q, n).reshape(-1)[flat]
+                    assert np.array_equal(apply_kraus_at(mat, ops, q, n, flat), dense)
+
+    def test_values_come_in_the_order_of_the_indices(self, rng):
+        mat = random_density_matrix(rng, 3)
+        ops = BUILTIN_CHANNELS["ampdamp"](0.4).operators
+        flat = rng.permutation(64)[:40]
+        dense = apply_kraus(mat, ops, 1, 3).reshape(-1)
+        assert np.array_equal(apply_kraus_at(mat, ops, 1, 3, flat), dense[flat])
+        assert apply_kraus_at(mat, ops, 1, 3, flat[:0]).shape == (0,)
+
+    def test_blocks_no_operator_reaches_are_zero(self, rng):
+        lower = np.array([[0, 1], [0, 0]], dtype=complex)
+        mat = random_density_matrix(rng, 3)
+        flat = np.arange(64)
+        for q in range(3):
+            dense = apply_kraus(mat, [lower, np.zeros((2, 2))], q, 3).reshape(-1)
+            assert np.array_equal(apply_kraus_at(mat, [lower, np.zeros((2, 2))], q, 3, flat), dense)
+
+    def test_rejects_bad_args(self, rng):
+        mat = random_density_matrix(rng, 2)
+        with pytest.raises(ValueError):
+            apply_kraus_at(mat, [np.eye(4)], 0, 2, np.arange(16))
+        with pytest.raises(ValueError):
+            apply_kraus_at(mat, [X], 2, 2, np.arange(16))
+
+
 class TestExpectation:
     def test_unit_trace(self, rng):
         rho = random_density_matrix(rng, 2)
@@ -143,16 +200,13 @@ class TestExpectation:
             expectation(ZERO, np.eye(4))
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_out_receives_the_product_and_changes_no_bit(self, rng, order):
+    def test_operator_layout_changes_no_bit(self, rng, order):
+        # the registry's witnesses are column-major; the sum must not depend on it
         rho = random_density_matrix(rng, 3)
         m = np.asarray(random_density_matrix(rng, 3), order=order)
         expected = complex(np.sum(rho * np.ascontiguousarray(m).T))
-        buf = np.empty_like(rho)
-        assert expectation(rho, m, out=buf) == expected
-        assert np.array_equal(buf, rho * m.T)
-        own = rho.copy()
-        assert expectation(own, m, out=own) == expected
-        assert np.array_equal(own, buf)
+        assert expectation(rho, m) == expected
+        assert expectation(read_only(rho), m) == expected
 
 
 class TestPartialTrace:

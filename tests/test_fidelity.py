@@ -81,7 +81,7 @@ def _parent_sum(registry, gate, assignment) -> float:
 
 
 class TestInPlaceTrace:
-    """The formula sums its product in place, with every bit of an allocated one."""
+    """The formula's value has every bit of the sum of an allocated dense product."""
 
     @pytest.mark.parametrize("family", sorted(BUILTIN_CHANNELS))
     @pytest.mark.parametrize("gate", ALL_GATES, ids=str)
@@ -117,6 +117,87 @@ class TestInPlaceTrace:
             fidelity_formula(gate, assignment, registry)
         assert registry.cluster_state(gate).tobytes() == state
         assert registry.witness_for(gate).tobytes() == witness
+
+
+SUPPORT_GATES = [IDENTITY, HADAMARD, z_rotation(math.pi / 4), z_rotation(-2.3), CONTROLLED_Z]
+SUPPORT_RATES = sorted({0.0, 5e-7, 1e-6, *(0.05 * k for k in range(21))})
+
+
+def _dense_trace(registry, gate, assignment) -> float:
+    """Tr(noisy W) as the dense sum ``np.sum(noisy * W^T)`` over the whole state."""
+    pattern = registry.pattern_for(gate)
+    noisy = apply_assignment(registry.cluster_state(gate), resolve_assignment(pattern, assignment))
+    return complex(np.sum(noisy * registry.witness_for(gate).T)).real
+
+
+class TestSupportEvaluation:
+    """The last channel is applied only where the witness is nonzero, and no bit moves."""
+
+    @pytest.mark.parametrize("family", sorted(BUILTIN_CHANNELS))
+    @pytest.mark.parametrize("gate", SUPPORT_GATES, ids=str)
+    def test_every_qubit_and_rate_is_bitwise_the_dense_trace(self, registry, gate, family):
+        for label in registry.pattern_for(gate).labels:
+            for p in SUPPORT_RATES:
+                assignment = {label: BUILTIN_CHANNELS[family](p)}
+                value = fidelity_formula(gate, assignment, registry).raw_value
+                assert value == _dense_trace(registry, gate, assignment)
+
+    @pytest.mark.parametrize("gate", SUPPORT_GATES, ids=str)
+    def test_noiseless_is_bitwise_the_dense_trace(self, registry, gate):
+        assert fidelity_formula(gate, {}, registry).raw_value == _dense_trace(registry, gate, {})
+
+    def test_seeded_multi_qubit_assignments_are_bitwise_the_dense_trace(self, registry):
+        rng = np.random.default_rng(1717)
+        families = [BUILTIN_CHANNELS[name] for name in sorted(BUILTIN_CHANNELS)]
+        for _ in range(200):
+            gate = SUPPORT_GATES[int(rng.integers(len(SUPPORT_GATES)))]
+            labels = registry.pattern_for(gate).labels
+            chosen = rng.choice(labels, size=int(rng.integers(2, len(labels) + 1)), replace=False)
+            assignment = {
+                str(lab): families[int(rng.integers(len(families)))](float(rng.uniform(0, 1)))
+                for lab in chosen
+            }
+            value = fidelity_formula(gate, assignment, registry).raw_value
+            assert value == _dense_trace(registry, gate, assignment)
+
+    @pytest.mark.parametrize("gate", SUPPORT_GATES, ids=str)
+    def test_random_channels_are_bitwise_the_dense_trace(self, registry, gate):
+        rng = np.random.default_rng(17)
+        labels = registry.pattern_for(gate).labels
+        for count in (1, 2, 3, 4):
+            for label in labels:
+                assignment = {label: random_channel(rng.normal(size=8 * count))}
+                value = fidelity_formula(gate, assignment, registry).raw_value
+                assert value == _dense_trace(registry, gate, assignment)
+            assignment = {lab: random_channel(rng.normal(size=8 * count)) for lab in labels[:3]}
+            value = fidelity_formula(gate, assignment, registry).raw_value
+            assert value == _dense_trace(registry, gate, assignment)
+
+    @pytest.mark.parametrize("gate", ALL_GATES, ids=str)
+    def test_one_noisy_qubit_applies_no_channel_to_the_whole_state(self, registry, gate,
+                                                                  monkeypatch):
+        from clusterfid import channels
+
+        calls = []
+        apply = channels.apply_kraus
+        monkeypatch.setattr(channels, "apply_kraus", lambda *args: calls.append(args) or apply(*args))
+        for label in registry.pattern_for(gate).labels:
+            assignment = {label: amplitude_damping(0.3)}
+            fidelity_formula(gate, assignment, registry)  # warm
+            fidelity_formula(gate, assignment, registry)
+        assert calls == []
+
+    @pytest.mark.parametrize("gate", ALL_GATES, ids=str)
+    def test_the_formula_caches_the_support_and_no_dense_witness(self, gate):
+        registry = load_registry()
+        fidelity_formula(gate, {registry.pattern_for(gate).labels[0]: dephasing(0.2)}, registry)
+        absent = object()
+        assert registry.cached("witness", gate.kind, gate.theta, lambda: absent) is absent
+        flat, values = registry.witness_support(gate)
+        transposed = np.ascontiguousarray(load_registry().witness_for(gate).T).reshape(-1)
+        assert np.array_equal(flat, np.flatnonzero(transposed))
+        assert np.array_equal(values, transposed[flat])
+        assert not flat.flags.writeable and not values.flags.writeable
 
 
 class TestResolveAssignment:
