@@ -504,7 +504,9 @@ def witness_expectation_noiseless(registry: PatternRegistry, gate: GateKind) -> 
     """Expectation of the gate's witness on its pristine cluster state.
 
     Equals 1 for a correct registry; ``cli.cmd_validate`` uses this as the
-    registry-correctness gate.
+    registry-correctness gate. The dense witness is built for the check and
+    not cached: the formula reads only the witness support, so ``validate``
+    would otherwise hold a dense witness per gate that nothing reads again.
     """
     rho = registry.cluster_state(gate)
-    return expectation(rho, registry.witness_for(gate)).real
+    return expectation(rho, registry._build_witness(gate)).real

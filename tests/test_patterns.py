@@ -80,6 +80,13 @@ class TestWitness:
         assert abs(witness_expectation_noiseless(registry, gate) - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("gate", ALL_GATES)
+    def test_noiseless_check_caches_no_dense_witness(self, registry, gate):
+        reg = PatternRegistry(dict(registry._patterns))
+        witness_expectation_noiseless(reg, gate)
+        absent = object()
+        assert reg.cached("witness", gate.kind, gate.theta, lambda: absent) is absent
+
+    @pytest.mark.parametrize("gate", ALL_GATES)
     def test_factors_are_hermitian_projectors(self, registry, gate):
         for m in registry.witness_factors(gate):
             assert np.max(np.abs(m - m.conj().T)) <= 1e-10
