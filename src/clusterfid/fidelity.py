@@ -112,11 +112,9 @@ def fidelity_formula(
         n = pattern.graph.num_vertices
         entries = apply_kraus_at(rho, resolved[last].operators, last, n, flat)
     del rho  # hold no noisy state while the product is summed
-    weighted = entries * values
-    del entries
+    entries = entries * values   # rho * W^T at the support, never in place
     product = np.zeros(clean.shape, dtype=complex)
-    product.reshape(-1)[flat] = weighted
-    del weighted
+    product.reshape(-1)[flat] = entries
     val = complex(np.sum(product))
     if abs(val.imag) > 1e-10:
         raise ValueError(f"witness expectation has imaginary part {val.imag:.3e}")
