@@ -107,14 +107,12 @@ def sweep_curve(
         raise ValueError(f"unknown method {method!r}")
     exposed = registry.pattern_for(gate).check_labels(exposed)
     evaluate = fidelity_formula if method == "formula" else mbqc_oracle
-
-    def point(p: float):
-        # one channel per grid point, shared by every exposed qubit
-        assignment = dict.fromkeys(exposed, channel_family(p))
-        return (p, evaluate(gate, assignment, registry).raw_value)
-
-    channel_name = channel_family(0.0).name
-    return FidelityCurve(gate, channel_name, exposed, tuple(point(p) for p in grid))
+    channels = [channel_family(p) for p in grid]   # one per point, shared by the exposed qubits
+    points = tuple(
+        (p, evaluate(gate, dict.fromkeys(exposed, channel), registry).raw_value)
+        for p, channel in zip(grid, channels)
+    )
+    return FidelityCurve(gate, channels[0].name, exposed, points)
 
 
 def immunity_scan(
@@ -131,12 +129,13 @@ def immunity_scan(
     registry = registry or default_registry()
     channels = BUILTIN_CHANNELS if channels is None else channels
     pattern = registry.pattern_for(gate)
+    probes = {name: [family(p) for p in IMMUNITY_PROBES] for name, family in channels.items()}
     immune = []
     for label in pattern.labels:
-        for name, family in channels.items():
+        for name, probe_channels in probes.items():
             vals = [
-                fidelity_formula(gate, {label: family(p)}, registry).raw_value
-                for p in IMMUNITY_PROBES
+                fidelity_formula(gate, {label: channel}, registry).raw_value
+                for channel in probe_channels
             ]
             if all(abs(v - 1.0) <= IMMUNITY_ATOL for v in vals):
                 immune.append((label, name))
@@ -157,25 +156,28 @@ def initial_slope(
     """
     registry = registry or default_registry()
     exposed = registry.pattern_for(gate).check_labels(exposed)
-    per_qubit = {lab: _slope(gate, channel_family, (lab,), registry) for lab in exposed}
-    channel_name = channel_family(0.0).name
-    slope = _slope(gate, channel_family, exposed, registry)
-    return SlopeReport(gate, channel_name, exposed, slope, per_qubit)
+    steps = _slope_channels(channel_family)
+    per_qubit = {lab: _slope(gate, steps, (lab,), registry) for lab in exposed}
+    slope = _slope(gate, steps, exposed, registry)
+    return SlopeReport(gate, steps[0].name, exposed, slope, per_qubit)
 
 
-def _slope(gate: GateKind, channel_family: ChannelFamily, labels: tuple,
-           registry: PatternRegistry) -> float:
-    """dF/dp at p = 0 with ``channel_family(p)`` on every one of ``labels``."""
+def _slope_channels(channel_family: ChannelFamily) -> tuple:
+    """The channels at p = 0, h and h/2 that ``_slope`` differences."""
+    return channel_family(0.0), channel_family(SLOPE_STEP), channel_family(SLOPE_STEP / 2)
+
+
+def _slope(gate: GateKind, steps: tuple, labels: tuple, registry: PatternRegistry) -> float:
+    """dF/dp at p = 0 with the ``_slope_channels`` ``steps`` on every one of ``labels``."""
     if not labels:
         return 0.0
-
-    def f(p: float) -> float:
-        return fidelity_formula(gate, dict.fromkeys(labels, channel_family(p)), registry).raw_value
-
+    f0, f1, f2 = (
+        fidelity_formula(gate, dict.fromkeys(labels, channel), registry).raw_value
+        for channel in steps
+    )
     h = SLOPE_STEP
-    f0 = f(0.0)
-    d1 = (f(h) - f0) / h
-    d2 = (f(h / 2) - f0) / (h / 2)
+    d1 = (f1 - f0) / h
+    d2 = (f2 - f0) / (h / 2)
     return 2 * d2 - d1
 
 
@@ -206,8 +208,9 @@ def compare_patterns(
     exposed_b = tuple(lab for lab in pattern.labels if lab not in prot_b)
     curve_a = sweep_curve(gate, channel_family, exposed_a, grid, registry)
     curve_b = sweep_curve(gate, channel_family, exposed_b, grid, registry)
-    slope_a = _slope(gate, channel_family, exposed_a, registry)
-    slope_b = _slope(gate, channel_family, exposed_b, registry)
+    steps = _slope_channels(channel_family)
+    slope_a = _slope(gate, steps, exposed_a, registry)
+    slope_b = _slope(gate, steps, exposed_b, registry)
     return ComparisonReport(
         gate, curve_a.channel_name, prot_a, prot_b, curve_a, curve_b, slope_a, slope_b
     )

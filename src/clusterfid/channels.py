@@ -69,6 +69,16 @@ class KrausChannel:
             )
         object.__setattr__(self, "operators", tuple(stack))
 
+    @property
+    def diagonal(self) -> bool:
+        """Whether every Kraus operator is diagonal, as for dephasing and phase damping.
+
+        Such a channel scales each density-matrix entry by a sum of products
+        of Kraus entries, reading no other entry; ``fidelity_formula``
+        applies it at the witness's nonzero entries alone.
+        """
+        return not any(op[0, 1] or op[1, 0] for op in self.operators)
+
     def apply_single(self, rho2: np.ndarray) -> np.ndarray:
         """Apply to a bare 2x2 density matrix, as the sum over the Kraus operators.
 
@@ -176,11 +186,12 @@ def apply_assignment(mat: np.ndarray, assignment: dict) -> np.ndarray:
     Channels on distinct qubits commute, so the iteration order cannot
     change the result; qubits are visited in ascending order anyway to keep
     rounding deterministic. ``fidelity_formula`` relies on that order: it
-    passes every channel but the highest qubit's here and applies that one
-    last, at the witness's nonzero entries, so each entry is rounded as the
-    full assignment would round it. The result is a fresh writable array
-    that the caller owns, except that an empty assignment returns a
-    read-only view of ``mat`` itself, not a copy.
+    passes only the channels below its highest non-diagonal one here and
+    applies the rest after them, ascending, at the witness's nonzero
+    entries, so each entry is rounded as the full assignment would round
+    it. The result is a fresh writable array that the caller owns, except
+    that an empty assignment returns a read-only view of ``mat`` itself,
+    not a copy.
 
     Every target is checked before any work is done. Each channel is then
     one ``apply_kraus`` pass on its qubit's own tensor axes.

@@ -170,41 +170,69 @@ def apply_kraus(
     return out.reshape(mat.shape)
 
 
-def apply_kraus_at(
-    mat: np.ndarray,
-    operators: Sequence[np.ndarray],
-    qubit: int,
-    num_qubits: int,
-    flat: np.ndarray,
-) -> np.ndarray:
-    """``apply_kraus(mat, operators, qubit, num_qubits)`` at the C-order flat indices ``flat`` only.
+def _block_bits(qubit: int, num_qubits: int) -> tuple:
+    """The qubit's row bit and column bit in a C-order flat index."""
+    return 1 << (2 * num_qubits - 1 - qubit), 1 << (num_qubits - 1 - qubit)
 
-    An entry in the qubit's output block ``(c, e)`` sums, over K, a and b,
-    ``(K[c, a] * rho[a, b]) * conj(K[e, b])``, with ``rho[a, b]`` the entry
-    whose row bit of the qubit is a and column bit is b. The entries are
-    grouped by block, so each term is one scalar product over a group. The
-    terms are the ones ``apply_kraus`` forms, rounded the same way and added
-    in the same order, skipping the same zero entries of K: each value is
-    bit for bit the dense one, for any Kraus operators.
+
+def block_grouping(flat: np.ndarray, qubit: int, num_qubits: int) -> tuple:
+    """``(order, bounds)``: the C-order flat indices ``flat`` grouped by ``qubit``'s block.
+
+    ``flat[order][bounds[i]:bounds[i + 1]]`` are the entries in the qubit's
+    block ``(c, e)``, the i-th of (0, 0), (0, 1), (1, 0), (1, 1), with c the
+    qubit's row bit and e its column bit. ``order`` is read-only and
+    ``bounds`` five ints. This is the sort ``apply_kraus_at`` needs; the
+    registry keeps it per gate and qubit (``PatternRegistry.support_grouping``).
+    """
+    if not (0 <= qubit < num_qubits):
+        raise ValueError(f"qubit {qubit} out of range for {num_qubits} qubits")
+    row_bit, col_bit = _block_bits(qubit, num_qubits)
+    # 0 < col_bit < row_bit, so sorting on the two bits puts the blocks in product order
+    bits = flat & (row_bit | col_bit)
+    order = np.argsort(bits)
+    bounds = np.searchsorted(bits[order], (col_bit, row_bit, row_bit | col_bit))
+    return read_only(order), (0, *bounds.tolist(), len(flat))
+
+
+class FlippedEntries(dict):
+    """``apply_kraus_at``'s sources on a dense state, each gathered on first use.
+
+    ``self[(a, b)]`` is ``mat`` at the C-order flat indices ``at`` with the
+    qubit's row bit flipped if a is 1 and its column bit if b is 1.
+    """
+
+    def __init__(self, mat: np.ndarray, at: np.ndarray, qubit: int, num_qubits: int):
+        super().__init__()
+        self._rho, self._at = mat.reshape(-1), at
+        self._bits = _block_bits(qubit, num_qubits)
+
+    def __missing__(self, flip):
+        row_bit, col_bit = self._bits
+        value = self[flip] = self._rho[self._at ^ (row_bit * flip[0] | col_bit * flip[1])]
+        return value
+
+
+def apply_kraus_at(sources, operators: Sequence[np.ndarray], grouping: tuple) -> np.ndarray:
+    """``apply_kraus`` on one qubit at chosen entries only, grouped by ``block_grouping``.
+
+    ``grouping`` is the ``(order, bounds)`` of the chosen flat indices, and
+    ``sources[(a ^ c, b ^ e)]`` is the state at those indices taken in
+    ``order``, with the qubit's row and column bits flipped by that pair:
+    ``FlippedEntries`` on a dense state. An entry in block ``(c, e)`` sums,
+    over K, a and b, ``(K[c, a] * rho[a, b]) * conj(K[e, b])``; each term is
+    one scalar product over a group. The terms are the ones ``apply_kraus``
+    forms, rounded the same way and added in the same order, skipping the
+    same zero entries of K, so each value is bit for bit the dense one, for
+    any Kraus operators. Diagonal operators read flip (0, 0) only: a plain
+    ``{(0, 0): values}`` holding the entries themselves is enough for them.
+    The result comes in the order of the chosen indices, not grouped.
     """
     ops = [_as_matrix(op) for op in operators]
     if any(op.shape != (2, 2) for op in ops):
         raise ValueError("expected 2x2 Kraus operators")
-    if not (0 <= qubit < num_qubits):
-        raise ValueError(f"qubit {qubit} out of range for {num_qubits} qubits")
     kraus = [op.tolist() for op in ops]
-    rho = mat.reshape(-1)
-    flat = np.asarray(flat)
-    row_bit = 1 << (2 * num_qubits - 1 - qubit)   # the qubit's row bit in a flat index
-    col_bit = 1 << (num_qubits - 1 - qubit)       # and its column bit
-    # the two bits as they stand in each entry: 0 < col_bit < row_bit, so
-    # sorting on them groups the entries by block (c, e) in product order
-    bits = flat & (row_bit | col_bit)
-    order = np.argsort(bits)
-    at = flat[order]
-    bounds = [0, *np.searchsorted(bits[order], (col_bit, row_bit, row_bit | col_bit)), len(at)]
-    sources: dict = {}  # (row flip, column flip) -> rho at ``at`` with those bits flipped
-    grouped = np.empty(at.shape, dtype=complex)
+    order, bounds = grouping
+    grouped = np.empty(order.shape, dtype=complex)
     for (c, e), start, end in zip(itertools.product((0, 1), repeat=2), bounds, bounds[1:]):
         if start == end:
             continue
@@ -214,12 +242,9 @@ def apply_kraus_at(
             for a, b in itertools.product((0, 1), repeat=2):
                 if k[c][a] == 0 or k[e][b] == 0:
                     continue
-                flip = (a ^ c, b ^ e)
-                if flip not in sources:
-                    sources[flip] = rho[at ^ (row_bit * flip[0] | col_bit * flip[1])]
                 # no product is taken in place, as in apply_kraus: numpy rounds
                 # an in-place complex product of a single entry without FMA
-                row = np.multiply(sources[flip][start:end], k[c][a])
+                row = np.multiply(sources[a ^ c, b ^ e][start:end], k[c][a])
                 if filled:
                     group += np.multiply(row, k[e][b].conjugate())
                 else:

@@ -31,6 +31,7 @@ import numpy as np
 
 from .engine import (
     BRANCH_EPS,
+    FlippedEntries,
     apply_kraus_at,
     conjugate_on_qubit,
     partial_trace_raw,
@@ -91,27 +92,44 @@ def fidelity_formula(
 
     Tr(rho W) is the sum of the elementwise product rho * W^T, and W^T is
     nonzero at 3-7 % of its entries (``PatternRegistry.witness_support``).
-    So every channel but the last one (the highest qubit) is applied to the
-    whole state, by ``apply_assignment`` in ascending qubit order, and the
-    last one only at those entries (``engine.apply_kraus_at``). An empty
-    assignment gathers the pristine state there. The products are scattered
-    into a zeroed matrix and summed by ``np.sum`` over all of it: the
-    entries left out are the exact zeros of the full product, so the sum
-    pairs the same terms and the value keeps every bit of the dense trace.
+    The channels are applied in ascending qubit order, as
+    ``apply_assignment`` applies them, but only the ones the support cannot
+    do without run on the whole state. Scanning down from the highest noisy
+    qubit, each channel with diagonal Kraus operators
+    (``KrausChannel.diagonal``) maps an entry to a multiple of itself, so it
+    is applied at the support alone, to the entries the channels below it
+    left there. The first non-diagonal channel met reads the entries its
+    Kraus operators mix, so it is applied at the support to the dense state
+    that ``apply_assignment`` leaves after the channels below it. Each is
+    one ``engine.apply_kraus_at`` pass over the support grouped by its
+    qubit's block (``PatternRegistry.support_grouping``). The products are
+    scattered into a zeroed matrix and summed by ``np.sum`` over all of it:
+    the entries left out are the exact zeros of the full product, so the
+    sum pairs the same terms and the value keeps every bit of the dense
+    trace.
     """
     registry = registry or default_registry()
     pattern = registry.pattern_for(gate)
     resolved = resolve_assignment(pattern, assignment or {})
     flat, values = registry.witness_support(gate)
     clean = registry.cluster_state(gate)
-    last = max(resolved, default=None)
-    rho = apply_assignment(clean, {q: ch for q, ch in resolved.items() if q != last})
-    if last is None:
+    dense = sorted(resolved)
+    diagonal = []   # the diagonal channels above the highest non-diagonal one, ascending
+    while dense and resolved[dense[-1]].diagonal:
+        diagonal.insert(0, dense.pop())
+    mixing = dense.pop() if dense else None
+    rho = apply_assignment(clean, {q: resolved[q] for q in dense})
+    if mixing is None:
         entries = rho.reshape(-1)[flat]
     else:
-        n = pattern.graph.num_vertices
-        entries = apply_kraus_at(rho, resolved[last].operators, last, n, flat)
+        grouping = registry.support_grouping(gate, mixing)
+        sources = FlippedEntries(rho, flat[grouping[0]], mixing, pattern.graph.num_vertices)
+        entries = apply_kraus_at(sources, resolved[mixing].operators, grouping)
+        del sources  # it views the noisy state
     del rho  # hold no noisy state while the product is summed
+    for q in diagonal:
+        grouping = registry.support_grouping(gate, q)
+        entries = apply_kraus_at({(0, 0): entries[grouping[0]]}, resolved[q].operators, grouping)
     entries = entries * values   # rho * W^T at the support, never in place
     product = np.zeros(clean.shape, dtype=complex)
     product.reshape(-1)[flat] = entries

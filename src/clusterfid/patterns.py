@@ -31,9 +31,9 @@ gates ``validate`` checks, and the sections a registry file may hold.
 A pattern maps labels to vertices and orders its kept qubits once;
 ``MeasurementPattern.check_labels`` is the one check of a list of labels.
 ``PatternRegistry.cached`` is the one cache of what is built per gate
-(cluster state, the witness's nonzero entries that the formula reads, the
-dense witness for the callers that ask for it, the oracle's branch table),
-for the latest theta.
+(cluster state, the witness's nonzero entries that the formula reads and
+their grouping by each noisy qubit's block, the dense witness for the
+callers that ask for it, the oracle's branch table), for the latest theta.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from importlib import resources
 
 import numpy as np
 
-from .engine import MAX_QUBITS, CapacityError, expectation, read_only
+from .engine import MAX_QUBITS, CapacityError, block_grouping, expectation, read_only
 from .graphs import Graph, PauliString, build_cluster_state, stabilizer
 
 #: The gate kinds, in the order the CLI and ``validate`` list them; a registry
@@ -275,6 +275,20 @@ class PatternRegistry:
             return read_only(flat), read_only(transposed[flat])
 
         return self.cached("support", gate.kind, gate.theta, build)
+
+    def support_grouping(self, gate: GateKind, qubit: int) -> tuple:
+        """``engine.block_grouping`` of the witness support by ``qubit``'s block.
+
+        Built once per gate and qubit and cached for the latest theta, so that
+        ``fidelity_formula`` sorts the support once, not per call. Only
+        ``(order, bounds)`` is kept; the grouped indices are gathered per call.
+        """
+        groupings = self.cached("grouping", gate.kind, gate.theta, dict)
+        if qubit not in groupings:
+            flat, _ = self.witness_support(gate)
+            n = self.pattern_for(gate).graph.num_vertices
+            groupings[qubit] = block_grouping(flat, qubit, n)
+        return groupings[qubit]
 
     def witness_factors(self, gate: GateKind) -> Iterator[np.ndarray]:
         """Build the witness's factor matrices one at a time, in product order.

@@ -86,6 +86,17 @@ class TestConstructors:
         with pytest.raises(ValueError, match=message):
             KrausChannel("bad", 0.0, operators)
 
+    @pytest.mark.parametrize("name", sorted(BUILTIN_CHANNELS))
+    def test_dephasing_and_phase_damping_alone_are_diagonal(self, name):
+        # at p = 0 every built-in is diagonal: its second operator is zero
+        assert BUILTIN_CHANNELS[name](0.0).diagonal
+        for p in (1e-6, 0.3, 1.0):
+            assert BUILTIN_CHANNELS[name](p).diagonal == (name in ("dephasing", "phasedamp"))
+
+    def test_a_phase_on_the_diagonal_is_diagonal(self):
+        assert KrausChannel("phase", 0.0, (np.diag([1, 1j]),)).diagonal
+        assert not random_channel(np.arange(1.0, 17.0)).diagonal
+
     def test_generic_channel_completeness_enforced(self):
         ok = KrausChannel("ok", 0.0, (np.eye(2),))
         assert len(ok.operators) == 1

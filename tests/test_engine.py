@@ -4,7 +4,9 @@ import pytest
 from clusterfid.channels import BUILTIN_CHANNELS
 from clusterfid.engine import (
     apply_kraus,
+    FlippedEntries,
     apply_kraus_at,
+    block_grouping,
     conjugate_on_qubit,
     embed,
     expectation,
@@ -134,6 +136,12 @@ def _some_entries(rng, n) -> np.ndarray:
     return np.sort(rng.choice(d, size=max(1, d // 10), replace=False))
 
 
+def _kraus_at(mat, ops, qubit, n, flat):
+    """``apply_kraus_at`` at ``flat`` on the dense ``mat``, grouped by ``block_grouping``."""
+    order, bounds = block_grouping(flat, qubit, n)
+    return apply_kraus_at(FlippedEntries(mat, flat[order], qubit, n), ops, (order, bounds))
+
+
 class TestApplyKrausAt:
     """The Kraus sum at chosen entries is the dense ``apply_kraus`` there."""
 
@@ -146,7 +154,7 @@ class TestApplyKrausAt:
                     for p in (0.0, 0.37, 1.0):
                         ops = family(p).operators
                         dense = apply_kraus(mat, ops, q, n).reshape(-1)[flat]
-                        assert np.array_equal(apply_kraus_at(mat, ops, q, n, flat), dense)
+                        assert np.array_equal(_kraus_at(mat, ops, q, n, flat), dense)
 
     def test_random_channels_are_bitwise_the_dense_sum(self, rng):
         # up to four terms per entry, added in the dense kernel's order
@@ -157,15 +165,40 @@ class TestApplyKrausAt:
                 for count in (1, 2, 3, 4):
                     ops = random_channel(rng.normal(size=8 * count)).operators
                     dense = apply_kraus(mat, ops, q, n).reshape(-1)[flat]
-                    assert np.array_equal(apply_kraus_at(mat, ops, q, n, flat), dense)
+                    assert np.array_equal(_kraus_at(mat, ops, q, n, flat), dense)
+
+    def test_diagonal_channels_read_the_entries_alone(self, rng):
+        # a diagonal channel needs only the chosen entries themselves, at flip (0, 0)
+        for n in range(1, 9):
+            mat = random_density_matrix(rng, n)
+            flat = _some_entries(rng, n)
+            for q in range(n):
+                order, bounds = block_grouping(flat, q, n)
+                entries = {(0, 0): mat.reshape(-1)[flat[order]]}
+                for ops in _diagonal_operator_sets(rng):
+                    dense = apply_kraus(mat, ops, q, n).reshape(-1)[flat]
+                    assert np.array_equal(apply_kraus_at(entries, ops, (order, bounds)), dense)
+
+    def test_grouping_sorts_the_entries_by_block(self, rng):
+        n = 3
+        flat = rng.permutation(64)[:40]
+        for q in range(n):
+            order, bounds = block_grouping(flat, q, n)
+            assert not order.flags.writeable
+            assert bounds[0] == 0 and bounds[-1] == len(flat) and len(bounds) == 5
+            rows, cols = np.divmod(flat[order], 2**n)
+            for block, start, end in zip(((0, 0), (0, 1), (1, 0), (1, 1)), bounds, bounds[1:]):
+                bit = n - 1 - q
+                assert np.all((rows[start:end] >> bit) & 1 == block[0])
+                assert np.all((cols[start:end] >> bit) & 1 == block[1])
 
     def test_values_come_in_the_order_of_the_indices(self, rng):
         mat = random_density_matrix(rng, 3)
         ops = BUILTIN_CHANNELS["ampdamp"](0.4).operators
         flat = rng.permutation(64)[:40]
         dense = apply_kraus(mat, ops, 1, 3).reshape(-1)
-        assert np.array_equal(apply_kraus_at(mat, ops, 1, 3, flat), dense[flat])
-        assert apply_kraus_at(mat, ops, 1, 3, flat[:0]).shape == (0,)
+        assert np.array_equal(_kraus_at(mat, ops, 1, 3, flat), dense[flat])
+        assert _kraus_at(mat, ops, 1, 3, flat[:0]).shape == (0,)
 
     def test_blocks_no_operator_reaches_are_zero(self, rng):
         lower = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -173,14 +206,26 @@ class TestApplyKrausAt:
         flat = np.arange(64)
         for q in range(3):
             dense = apply_kraus(mat, [lower, np.zeros((2, 2))], q, 3).reshape(-1)
-            assert np.array_equal(apply_kraus_at(mat, [lower, np.zeros((2, 2))], q, 3, flat), dense)
+            assert np.array_equal(_kraus_at(mat, [lower, np.zeros((2, 2))], q, 3, flat), dense)
 
     def test_rejects_bad_args(self, rng):
         mat = random_density_matrix(rng, 2)
         with pytest.raises(ValueError):
-            apply_kraus_at(mat, [np.eye(4)], 0, 2, np.arange(16))
+            _kraus_at(mat, [np.eye(4)], 0, 2, np.arange(16))
         with pytest.raises(ValueError):
-            apply_kraus_at(mat, [X], 2, 2, np.arange(16))
+            _kraus_at(mat, [X], 2, 2, np.arange(16))
+
+
+def _diagonal_operator_sets(rng) -> list:
+    """Built-in diagonal channels, and random diagonal CPTP maps of 1-3 operators."""
+    sets = [BUILTIN_CHANNELS[name](p).operators
+            for name in ("dephasing", "phasedamp") for p in (0.0, 0.37, 1.0)]
+    for count in (1, 2, 3):
+        # each diagonal's squared moduli sum to one over the operators
+        moduli = np.sqrt(rng.dirichlet(np.ones(count), size=2))
+        phases = np.exp(2j * np.pi * rng.random((2, count)))
+        sets.append([np.diag(moduli[:, k] * phases[:, k]) for k in range(count)])
+    return sets
 
 
 class TestExpectation:

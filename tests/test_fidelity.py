@@ -200,6 +200,99 @@ class TestSupportEvaluation:
         assert not flat.flags.writeable and not values.flags.writeable
 
 
+DIAGONAL = ("dephasing", "phasedamp")
+MIXING = ("bitflip", "ampdamp")
+
+
+def _random_diagonal_channel(rng) -> KrausChannel:
+    """A random CPTP map of 1-3 diagonal Kraus operators."""
+    count = int(rng.integers(1, 4))
+    moduli = np.sqrt(rng.dirichlet(np.ones(count), size=2))   # each row's squares sum to 1
+    phases = np.exp(2j * np.pi * rng.random((2, count)))
+    return KrausChannel("diag", 0.0, tuple(np.diag(moduli[:, k] * phases[:, k])
+                                           for k in range(count)))
+
+
+@pytest.fixture()
+def kraus_calls(monkeypatch):
+    """The qubits of every whole-state ``channels.apply_kraus`` pass, in call order."""
+    from clusterfid import channels
+
+    calls = []
+    apply = channels.apply_kraus
+    monkeypatch.setattr(channels, "apply_kraus",
+                        lambda mat, ops, q, n: calls.append(q) or apply(mat, ops, q, n))
+    return calls
+
+
+class TestDiagonalChannelsAtTheSupport:
+    """Diagonal channels above the highest non-diagonal one run at the support alone, bit for bit."""
+
+    @pytest.mark.parametrize("mixing", MIXING)
+    @pytest.mark.parametrize("gate", SUPPORT_GATES, ids=str)
+    def test_diagonal_builtins_above_a_mixing_channel(self, registry, gate, mixing, kraus_calls):
+        labels = registry.pattern_for(gate).labels
+        for split, label in enumerate(labels):
+            for p in (0.05, 0.35, 1.0):
+                assignment = {lab: BUILTIN_CHANNELS[DIAGONAL[i % 2]](p / (i + 1))
+                              for i, lab in enumerate(labels)}
+                assignment[label] = BUILTIN_CHANNELS[mixing](p)
+                kraus_calls.clear()
+                value = fidelity_formula(gate, assignment, registry).raw_value
+                # only the channels below the mixing one ran on the whole state
+                assert kraus_calls == list(range(split))
+                assert value == _dense_trace(registry, gate, assignment)
+
+    @pytest.mark.parametrize("gate", SUPPORT_GATES, ids=str)
+    def test_all_diagonal_assignments_apply_no_channel_to_the_whole_state(self, registry, gate,
+                                                                           kraus_calls):
+        labels = registry.pattern_for(gate).labels
+        for p in (0.0, 5e-7, 0.1, 0.45, 1.0):
+            for first in DIAGONAL:
+                other = DIAGONAL[1 - DIAGONAL.index(first)]
+                assignment = {lab: BUILTIN_CHANNELS[(first, other)[i % 2]](p)
+                              for i, lab in enumerate(labels)}
+                kraus_calls.clear()
+                value = fidelity_formula(gate, assignment, registry).raw_value
+                assert kraus_calls == []
+                assert value == _dense_trace(registry, gate, assignment)
+
+    @pytest.mark.parametrize("gate", SUPPORT_GATES, ids=str)
+    def test_random_diagonal_maps_mixed_with_builtins(self, registry, gate):
+        rng = np.random.default_rng(1818)
+        labels = registry.pattern_for(gate).labels
+        for _ in range(25):
+            assignment = {}
+            for lab in rng.choice(labels, size=int(rng.integers(1, len(labels) + 1)),
+                                  replace=False):
+                kind = int(rng.integers(3))
+                if kind == 0:
+                    assignment[str(lab)] = _random_diagonal_channel(rng)
+                else:
+                    names = DIAGONAL if kind == 1 else MIXING
+                    name = names[int(rng.integers(2))]
+                    assignment[str(lab)] = BUILTIN_CHANNELS[name](float(rng.uniform(0, 1)))
+            value = fidelity_formula(gate, assignment, registry).raw_value
+            assert value == _dense_trace(registry, gate, assignment)
+
+    def test_grouping_is_built_once_per_qubit_and_angle(self, monkeypatch):
+        from clusterfid import patterns
+
+        registry = load_registry()
+        built = []
+        group = patterns.block_grouping
+        monkeypatch.setattr(patterns, "block_grouping",
+                            lambda flat, q, n: built.append(q) or group(flat, q, n))
+        labels = registry.pattern_for(z_rotation(0.3)).labels
+        assignment = dict.fromkeys(labels, dephasing(0.2))
+        for theta in (0.3, 0.3, 1.2, 1.2, 0.3):
+            fidelity_formula(z_rotation(theta), assignment, registry)
+        # every qubit once per angle; the second 0.3 comes after 1.2 dropped the first
+        assert built == list(range(len(labels))) * 3
+        fidelity_formula(z_rotation(0.3), {labels[2]: amplitude_damping(0.2)}, registry)
+        assert len(built) == 3 * len(labels)
+
+
 class TestResolveAssignment:
     """Keys are labels; an int key matches the label it prints as, not a vertex index."""
 

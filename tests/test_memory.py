@@ -3,12 +3,14 @@
 tracemalloc sees numpy's data buffers, so these bounds count the dense
 matrices that stay alive: for the formula the registry should keep one
 cluster state and the witness support (under a tenth of a state) per gate,
-for the latest angle only, and no dense witness and no noisy state; a
-witness build should hold the product and one gathered copy; a formula call
-with one noisy qubit should peak near one state, the zeroed product it sums,
-and near three with every qubit noisy, while it applies the channels; the
-oracle should walk one copy of the state. Some bounds below still allow the
-dense trace they were first written for.
+and the support's grouping by each noisy qubit's block (a few hundredths of
+a state apiece), for the latest angle only, and no dense witness and no
+noisy state; a witness build should hold the product and one gathered copy;
+a formula call whose channels are diagonal above one non-diagonal channel at
+most should peak near one state, the zeroed product it sums, and near three
+with a non-diagonal channel on every qubit, while it applies the channels
+below the highest one to the whole state; the oracle should walk one copy of
+the state.
 """
 
 import gc
@@ -16,7 +18,7 @@ import tracemalloc
 
 import pytest
 
-from clusterfid.channels import amplitude_damping
+from clusterfid.channels import amplitude_damping, dephasing, phase_damping
 from clusterfid.fidelity import fidelity_formula, mbqc_oracle
 from clusterfid.patterns import CONTROLLED_Z, HADAMARD, IDENTITY, load_registry, z_rotation
 
@@ -44,7 +46,7 @@ def traced(call):
 def test_cold_formula_holds_cluster_state_and_witness_only(gate):
     registry = load_registry()
     held, _ = traced(lambda: fidelity_formula(gate, {}, registry))
-    assert held / state_bytes(registry, gate) <= 2.1
+    assert held / state_bytes(registry, gate) <= 1.15
 
 
 @pytest.mark.parametrize("gate", GATES, ids=str)
@@ -79,10 +81,12 @@ def test_warm_formula_peaks_at_four_states(gate, noisy):
     assignment = {lab: amplitude_damping(0.3) for lab in labels}
     fidelity_formula(gate, assignment, registry)  # builds the cluster state and witness
     _, peak = traced(lambda: fidelity_formula(gate, assignment, registry))
-    # the state a channel runs on, its output and two quarter-size scratch
-    # buffers; numpy's own temporaries add up to half a state on the 7-qubit
-    # gates; the trace writes over the noisy state; all-noisy calls peak
-    # under three states, below the four the name still records
+    # all noisy: the state a channel runs on, its output and two quarter-size
+    # scratch buffers, and numpy's temporaries, while the channels below the
+    # last run on the whole state; the last channel runs at the support, and
+    # the product summed after it is one state. All-noisy calls peak under
+    # three states, below the four the name still records; last-qubit calls
+    # near one
     assert peak / state_bytes(registry, gate) <= 3.1
 
 
@@ -93,9 +97,10 @@ def test_warm_formula_with_one_noisy_qubit_peaks_near_two_states(gate):
     assignment = {max(pattern.labels, key=pattern.to_index): amplitude_damping(0.3)}
     fidelity_formula(gate, assignment, registry)  # builds the cluster state and witness
     _, peak = traced(lambda: fidelity_formula(gate, assignment, registry))
-    # the channel's output and two quarter-size scratch buffers; the trace
-    # writes its product over the noisy state, so it adds no state
-    assert peak / state_bytes(registry, gate) <= 2.1
+    # the channel runs at the support, so the zeroed product that np.sum
+    # reduces is the one state-sized array; the name records the dense channel
+    # pass this test was first written for
+    assert peak / state_bytes(registry, gate) <= 1.15
 
 
 def test_formulas_hold_only_cluster_states_and_witnesses():
@@ -169,3 +174,27 @@ def test_warm_formula_with_one_noisy_qubit_peaks_at_one_state(gate):
         fidelity_formula(gate, assignment, registry)  # builds the cluster state and support
         _, peak = traced(lambda: fidelity_formula(gate, assignment, registry))
         assert peak / state_bytes(registry, gate) <= 1.1
+
+
+def _diagonal_on_every_qubit(registry, gate) -> dict:
+    labels = registry.pattern_for(gate).labels
+    return {lab: (dephasing if i % 2 else phase_damping)(0.3) for i, lab in enumerate(labels)}
+
+
+@pytest.mark.parametrize("gate", GATES, ids=str)
+def test_warm_formula_with_a_diagonal_channel_on_every_qubit_peaks_at_one_state(gate):
+    # diagonal channels run at the support, so no channel touches the whole state
+    registry = load_registry()
+    assignment = _diagonal_on_every_qubit(registry, gate)
+    fidelity_formula(gate, assignment, registry)  # builds the cluster state, support and groupings
+    _, peak = traced(lambda: fidelity_formula(gate, assignment, registry))
+    assert peak / state_bytes(registry, gate) <= 1.1
+
+
+@pytest.mark.parametrize("gate", GATES, ids=str)
+def test_cold_formula_keeps_one_grouping_per_noisy_qubit(gate):
+    # one int64 order per qubit, half the bytes of the complex support values
+    registry = load_registry()
+    assignment = _diagonal_on_every_qubit(registry, gate)
+    held, _ = traced(lambda: fidelity_formula(gate, assignment, registry))
+    assert held / state_bytes(registry, gate) <= 1.4
