@@ -15,9 +15,11 @@ the probability of each branch it weighed (``branch_probabilities``).
 The two evaluators share the engine, the registry and ``apply_assignment``,
 but no intermediate: each applies the channels to the registry's pristine
 cluster state itself. The formula reads the witness only where it is
-nonzero, so it applies its last channel only there, and no dense witness is
-needed. The registry keeps what each gate needs again (its cluster state,
-witness support and branch table) for the latest theta only. Assignments
+nonzero, so no dense witness is needed, and it applies there alone its
+highest non-diagonal channel and every diagonal channel above it. The
+registry keeps what each gate needs again (its cluster state, witness
+support and its grouping per noisy qubit, and branch table) for the latest
+theta only. Assignments
 are keyed by qubit label and checked by ``MeasurementPattern.check_labels``.
 """
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import re
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Hashable, Iterable, Iterator
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -229,12 +229,13 @@ class PatternRegistry:
     def pattern_for(self, gate: GateKind) -> MeasurementPattern:
         return self._patterns[gate.kind]
 
-    def cached(self, artefact: str, kind: str, theta: float | None, build: Callable):
+    def cached(self, artefact: Hashable, kind: str, theta: float | None, build: Callable):
         """``build()``, kept under ``(artefact, kind)`` for ``theta`` only.
 
         A different theta drops the stored value before ``build`` runs, so an
         angle sweep never holds two values of one artefact. An artefact that
-        does not depend on the angle passes ``theta=None``.
+        does not depend on the angle passes ``theta=None``. An artefact is a
+        name, or a ``(name, qubit)`` pair for one kept per qubit.
         """
         key = (artefact, kind)
         entry = self._cache.get(key)
@@ -279,16 +280,16 @@ class PatternRegistry:
     def support_grouping(self, gate: GateKind, qubit: int) -> tuple:
         """``engine.block_grouping`` of the witness support by ``qubit``'s block.
 
-        Built once per gate and qubit and cached for the latest theta, so that
+        Built once per gate and qubit and cached as the artefact
+        ``("grouping", qubit)`` for the latest theta, so that
         ``fidelity_formula`` sorts the support once, not per call. Only
         ``(order, bounds)`` is kept; the grouped indices are gathered per call.
         """
-        groupings = self.cached("grouping", gate.kind, gate.theta, dict)
-        if qubit not in groupings:
+        def build():
             flat, _ = self.witness_support(gate)
-            n = self.pattern_for(gate).graph.num_vertices
-            groupings[qubit] = block_grouping(flat, qubit, n)
-        return groupings[qubit]
+            return block_grouping(flat, qubit, self.pattern_for(gate).graph.num_vertices)
+
+        return self.cached(("grouping", qubit), gate.kind, gate.theta, build)
 
     def witness_factors(self, gate: GateKind) -> Iterator[np.ndarray]:
         """Build the witness's factor matrices one at a time, in product order.

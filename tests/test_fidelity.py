@@ -130,8 +130,20 @@ def _dense_trace(registry, gate, assignment) -> float:
     return complex(np.sum(noisy * registry.witness_for(gate).T)).real
 
 
+@pytest.fixture()
+def kraus_calls(monkeypatch):
+    """The qubits of every whole-state ``channels.apply_kraus`` pass, in call order."""
+    from clusterfid import channels
+
+    calls = []
+    apply = channels.apply_kraus
+    monkeypatch.setattr(channels, "apply_kraus",
+                        lambda mat, ops, q, n: calls.append(q) or apply(mat, ops, q, n))
+    return calls
+
+
 class TestSupportEvaluation:
-    """The last channel is applied only where the witness is nonzero, and no bit moves."""
+    """Evaluating where the witness is nonzero moves no bit of the dense trace."""
 
     @pytest.mark.parametrize("family", sorted(BUILTIN_CHANNELS))
     @pytest.mark.parametrize("gate", SUPPORT_GATES, ids=str)
@@ -175,17 +187,12 @@ class TestSupportEvaluation:
 
     @pytest.mark.parametrize("gate", ALL_GATES, ids=str)
     def test_one_noisy_qubit_applies_no_channel_to_the_whole_state(self, registry, gate,
-                                                                  monkeypatch):
-        from clusterfid import channels
-
-        calls = []
-        apply = channels.apply_kraus
-        monkeypatch.setattr(channels, "apply_kraus", lambda *args: calls.append(args) or apply(*args))
+                                                                  kraus_calls):
         for label in registry.pattern_for(gate).labels:
             assignment = {label: amplitude_damping(0.3)}
             fidelity_formula(gate, assignment, registry)  # warm
             fidelity_formula(gate, assignment, registry)
-        assert calls == []
+        assert kraus_calls == []
 
     @pytest.mark.parametrize("gate", ALL_GATES, ids=str)
     def test_the_formula_caches_the_support_and_no_dense_witness(self, gate):
@@ -211,18 +218,6 @@ def _random_diagonal_channel(rng) -> KrausChannel:
     phases = np.exp(2j * np.pi * rng.random((2, count)))
     return KrausChannel("diag", 0.0, tuple(np.diag(moduli[:, k] * phases[:, k])
                                            for k in range(count)))
-
-
-@pytest.fixture()
-def kraus_calls(monkeypatch):
-    """The qubits of every whole-state ``channels.apply_kraus`` pass, in call order."""
-    from clusterfid import channels
-
-    calls = []
-    apply = channels.apply_kraus
-    monkeypatch.setattr(channels, "apply_kraus",
-                        lambda mat, ops, q, n: calls.append(q) or apply(mat, ops, q, n))
-    return calls
 
 
 class TestDiagonalChannelsAtTheSupport:
