@@ -19,8 +19,8 @@ nonzero, so no dense witness is needed, and it applies there alone its
 highest non-diagonal channel and every diagonal channel above it. The
 registry keeps what each gate needs again (its cluster state, witness
 support and its grouping per noisy qubit, and branch table) for the latest
-theta only. Assignments
-are keyed by qubit label and checked by ``MeasurementPattern.check_labels``.
+theta only. Assignments are keyed by qubit label and checked by
+``MeasurementPattern.check_labels``.
 """
 
 from __future__ import annotations

@@ -48,3 +48,15 @@ def random_channel(entries) -> KrausChannel:
     g = np.array(entries[:half]).reshape(-1, 2) + 1j * np.array(entries[half:]).reshape(-1, 2)
     q, _ = np.linalg.qr(g)
     return KrausChannel("random", 0.0, tuple(q[i:i + 2] for i in range(0, len(q), 2)))
+
+
+def random_diagonal_channel(rng, count) -> KrausChannel:
+    """A random CPTP map of ``count`` diagonal Kraus operators.
+
+    Each diagonal position's squared moduli sum to one over the operators;
+    the phases are uniform.
+    """
+    moduli = np.sqrt(rng.dirichlet(np.ones(count), size=2))
+    phases = np.exp(2j * np.pi * rng.random((2, count)))
+    return KrausChannel("diagonal", 0.0, tuple(np.diag(moduli[:, k] * phases[:, k])
+                                               for k in range(count)))

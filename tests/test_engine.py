@@ -13,7 +13,13 @@ from clusterfid.engine import (
     partial_trace_raw,
     read_only,
 )
-from conftest import assert_density_matrix, pure_density, random_channel, random_density_matrix
+from conftest import (
+    assert_density_matrix,
+    pure_density,
+    random_channel,
+    random_density_matrix,
+    random_diagonal_channel,
+)
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -218,14 +224,10 @@ class TestApplyKrausAt:
 
 def _diagonal_operator_sets(rng) -> list:
     """Built-in diagonal channels, and random diagonal CPTP maps of 1-3 operators."""
-    sets = [BUILTIN_CHANNELS[name](p).operators
-            for name in ("dephasing", "phasedamp") for p in (0.0, 0.37, 1.0)]
-    for count in (1, 2, 3):
-        # each diagonal's squared moduli sum to one over the operators
-        moduli = np.sqrt(rng.dirichlet(np.ones(count), size=2))
-        phases = np.exp(2j * np.pi * rng.random((2, count)))
-        sets.append([np.diag(moduli[:, k] * phases[:, k]) for k in range(count)])
-    return sets
+    builtins = [BUILTIN_CHANNELS[name](p) for name in ("dephasing", "phasedamp")
+                for p in (0.0, 0.37, 1.0)]
+    randoms = [random_diagonal_channel(rng, count) for count in (1, 2, 3)]
+    return [channel.operators for channel in builtins + randoms]
 
 
 class TestExpectation:

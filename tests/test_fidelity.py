@@ -37,7 +37,7 @@ from clusterfid.patterns import (
     parse_registry_text,
     z_rotation,
 )
-from conftest import random_channel
+from conftest import random_channel, random_diagonal_channel
 
 ALL_GATES = [IDENTITY, HADAMARD, z_rotation(0.7853981633974483), CONTROLLED_Z]
 
@@ -211,15 +211,6 @@ DIAGONAL = ("dephasing", "phasedamp")
 MIXING = ("bitflip", "ampdamp")
 
 
-def _random_diagonal_channel(rng) -> KrausChannel:
-    """A random CPTP map of 1-3 diagonal Kraus operators."""
-    count = int(rng.integers(1, 4))
-    moduli = np.sqrt(rng.dirichlet(np.ones(count), size=2))   # each row's squares sum to 1
-    phases = np.exp(2j * np.pi * rng.random((2, count)))
-    return KrausChannel("diag", 0.0, tuple(np.diag(moduli[:, k] * phases[:, k])
-                                           for k in range(count)))
-
-
 class TestDiagonalChannelsAtTheSupport:
     """Diagonal channels above the highest non-diagonal one run at the support alone, bit for bit."""
 
@@ -243,9 +234,8 @@ class TestDiagonalChannelsAtTheSupport:
                                                                            kraus_calls):
         labels = registry.pattern_for(gate).labels
         for p in (0.0, 5e-7, 0.1, 0.45, 1.0):
-            for first in DIAGONAL:
-                other = DIAGONAL[1 - DIAGONAL.index(first)]
-                assignment = {lab: BUILTIN_CHANNELS[(first, other)[i % 2]](p)
+            for names in (DIAGONAL, DIAGONAL[::-1]):
+                assignment = {lab: BUILTIN_CHANNELS[names[i % 2]](p)
                               for i, lab in enumerate(labels)}
                 kraus_calls.clear()
                 value = fidelity_formula(gate, assignment, registry).raw_value
@@ -262,7 +252,7 @@ class TestDiagonalChannelsAtTheSupport:
                                   replace=False):
                 kind = int(rng.integers(3))
                 if kind == 0:
-                    assignment[str(lab)] = _random_diagonal_channel(rng)
+                    assignment[str(lab)] = random_diagonal_channel(rng, int(rng.integers(1, 4)))
                 else:
                     names = DIAGONAL if kind == 1 else MIXING
                     name = names[int(rng.integers(2))]
