@@ -16,6 +16,7 @@ are accepted through :class:`KrausChannel` (or a JSON file via
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -69,13 +70,14 @@ class KrausChannel:
             )
         object.__setattr__(self, "operators", tuple(stack))
 
-    @property
+    @functools.cached_property
     def diagonal(self) -> bool:
         """Whether every Kraus operator is diagonal, as for dephasing and phase damping.
 
         Such a channel scales each density-matrix entry by a sum of products
         of Kraus entries, reading no other entry; ``fidelity_formula``
-        applies it at the witness's nonzero entries alone.
+        applies it at the witness's nonzero entries alone. Computed once per
+        channel: the operators are frozen.
         """
         return not any(op[0, 1] or op[1, 0] for op in self.operators)
 

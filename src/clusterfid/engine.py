@@ -257,6 +257,84 @@ def apply_kraus_at(sources, operators: Sequence[np.ndarray], grouping: tuple) ->
     return out
 
 
+def sign_classes(mat: np.ndarray, flat: np.ndarray, qubit: int, num_qubits: int) -> tuple:
+    """``(sources, grouping, expand)``: the entries at ``flat`` as classes of equal kernel inputs.
+
+    ``apply_kraus_at`` on ``qubit`` computes an entry from its block (c, e)
+    and the four ``FlippedEntries`` sources, so entries that agree in all
+    five get the same rounded value. Every entry of a graph state is
+    ±2^-n (Hein, Eisert & Briegel, PRA 69, 062311 (2004)), so ``mat``'s
+    sources differ only in the sign bits of their real and (zero)
+    imaginary parts, and an entry's class is keyed on its block and those
+    eight bits; a source that is not exactly ±|mat[0, 0]| raises
+    ``ValueError``. ``sources`` holds one member's four sources per class,
+    with the classes ordered by block, ``grouping`` is their
+    ``(order, bounds)``, and ``apply_kraus_at(sources, ops,
+    grouping)[expand]`` is ``apply_kraus_at`` on the entries themselves, bit
+    for bit, in the order of ``flat``. The bundled supports have 34-88
+    classes per qubit.
+    """
+    if not (0 <= qubit < num_qubits):
+        raise ValueError(f"qubit {qubit} out of range for {num_qubits} qubits")
+    row_bit, col_bit = _block_bits(qubit, num_qubits)
+    rho = mat.reshape(-1)
+    flips = list(itertools.product((0, 1), repeat=2))
+    # column i: the sources of flip i, in product order
+    gathered = rho[flat[:, None] ^ [row_bit * a | col_bit * b for a, b in flips]]
+    if not np.all((np.abs(gathered.real) == abs(rho[0].real)) & (gathered.imag == 0)):
+        raise ValueError("sign classes need a state whose every entry is ±|rho[0, 0]|")
+    signs = np.signbit(gathered.real) * 2 + np.signbit(gathered.imag)
+    block = ((flat & row_bit) != 0) * 2 + ((flat & col_bit) != 0)   # in product order
+    key = block * 256 + signs @ [64, 16, 4, 1]
+    present = np.zeros(4 * 256, dtype=bool)
+    present[key] = True
+    keys = np.flatnonzero(present)
+    member = np.empty(present.shape, dtype=np.intp)
+    member[key] = np.arange(len(key))    # any member stands for its class
+    representatives = gathered[member[keys]]
+    bounds = np.searchsorted(keys >> 8, (1, 2, 3))
+    sources = {flip: read_only(representatives[:, i]) for i, flip in enumerate(flips)}
+    grouping = (read_only(np.arange(len(keys))), (0, *bounds.tolist(), len(keys)))
+    return sources, grouping, read_only((np.cumsum(present) - 1)[key])
+
+
+def pairwise_plan(flat: np.ndarray, size: int) -> tuple:
+    """``(slots, lanes)``: where ``np.sum`` over ``size`` entries adds each flat index of ``flat``.
+
+    ``np.sum`` of a contiguous complex array of ``size`` entries, a power
+    of two of at least 4, is a fixed pairwise tree (Higham, SIAM J. Sci.
+    Comput. 14, 783 (1993); PW_BLOCKSIZE in numpy's ``loops_utils.h.src``):
+    leaves of 64 consecutive entries, each summed as four lanes, with entry
+    i in lane i mod 4 and each lane summed in index order, then a binary
+    tree over the lanes of all leaves in index order. ``slots`` gives each
+    index its lane, ``leaf * 4 + lane``, and ``lanes`` counts them.
+    """
+    if size < 4 or size & (size - 1):
+        raise ValueError(f"the tree of np.sum is fixed here for powers of two >= 4, not {size}")
+    return read_only((flat >> 6) * 4 + (flat & 3)), max(4, size // 16)
+
+
+def pairwise_sum_at(values: np.ndarray, plan: tuple) -> complex:
+    """``np.sum`` of a zeroed array holding ``values`` at the plan's ascending flat indices.
+
+    The sum takes numpy's own order: ``np.add.at``, unbuffered, adds each
+    lane's values in index order onto +0, and a binary tree adds the
+    lanes. The zeros left out would only add +0 to a partial sum, which
+    changes no bit but the sign of a zero. As each lane starts from +0
+    here, and ``np.sum``'s result starts from +0, neither sum is ever -0
+    (an all -0.0 array sums to 0j). So the result is ``np.sum``'s bit for
+    bit, and no array of the full size is made. It depends on numpy's
+    summation tree (written against numpy 2.4): the tests pin it against
+    ``np.sum`` of the zero-padded array.
+    """
+    slots, lanes = plan
+    tree = np.zeros(lanes, dtype=complex)
+    np.add.at(tree, slots, values)
+    while len(tree) > 1:
+        tree = tree[0::2] + tree[1::2]
+    return complex(tree[0])
+
+
 def expectation(rho: np.ndarray, m: np.ndarray) -> complex:
     """Tr(rho M) as the sum of the elementwise product ``rho * M^T``.
 

@@ -16,10 +16,11 @@ The two evaluators share the engine, the registry and ``apply_assignment``,
 but no intermediate: each applies the channels to the registry's pristine
 cluster state itself. The formula reads the witness only where it is
 nonzero, so no dense witness is needed, and it applies there alone its
-highest non-diagonal channel and every diagonal channel above it. The
-registry keeps what each gate needs again (its cluster state, witness
-support and its grouping per noisy qubit, and branch table) for the latest
-theta only. Assignments are keyed by qubit label and checked by
+highest non-diagonal channel and every diagonal channel above it, and sums
+there in ``np.sum``'s order. The registry keeps what each gate needs again
+(its cluster state, witness support with its sum plan, the support's
+grouping or classes per noisy qubit, and branch table) for the latest theta
+only. Assignments are keyed by qubit label and checked by
 ``MeasurementPattern.check_labels``.
 """
 
@@ -36,6 +37,7 @@ from .engine import (
     FlippedEntries,
     apply_kraus_at,
     conjugate_on_qubit,
+    pairwise_sum_at,
     partial_trace_raw,
     permute_qubits,
 )
@@ -90,7 +92,11 @@ def fidelity_formula(
     assignment: dict | None = None,
     registry: PatternRegistry | None = None,
 ) -> FidelityResult:
-    """Closed-form average gate fidelity: Tr(noisy cluster x witness).
+    """Closed-form entanglement fidelity F_e: Tr(noisy cluster x witness).
+
+    The witness expectation is the entanglement fidelity of the noisy
+    pattern against the ideal gate, not the average gate fidelity
+    (d F_e + 1)/(d + 1): bitflip(0.3) on a kept qubit of identity gives 0.7.
 
     Tr(rho W) is the sum of the elementwise product rho * W^T, and W^T is
     nonzero at 3-7 % of its entries (``PatternRegistry.witness_support``).
@@ -104,38 +110,42 @@ def fidelity_formula(
     Kraus operators mix, so it is applied at the support to the dense state
     that ``apply_assignment`` leaves after the channels below it. Each is
     one ``engine.apply_kraus_at`` pass over the support grouped by its
-    qubit's block (``PatternRegistry.support_grouping``). The products are
-    scattered into a zeroed matrix and summed by ``np.sum`` over all of it:
-    the entries left out are the exact zeros of the full product, so the
-    sum pairs the same terms and the value keeps every bit of the dense
-    trace.
+    qubit's block (``PatternRegistry.support_grouping``). When no channel
+    runs on the whole state, the first one at the support reads the
+    pristine cluster state, whose entries fall into a few dozen classes of
+    equal inputs (``PatternRegistry.support_classes``): it runs on one
+    member per class, and each entry takes its class's value. The products
+    are summed by ``engine.pairwise_sum_at`` in the order ``np.sum`` adds
+    the whole product, whose other entries are exact zeros, so the value
+    keeps every bit of the dense trace.
     """
     registry = registry or default_registry()
     pattern = registry.pattern_for(gate)
     resolved = resolve_assignment(pattern, assignment or {})
-    flat, values = registry.witness_support(gate)
-    clean = registry.cluster_state(gate)
+    flat, values, plan = registry.witness_support(gate)
     dense = sorted(resolved)
-    diagonal = []   # the diagonal channels above the highest non-diagonal one, ascending
+    at_support = []   # the channels applied at the support, ascending
     while dense and resolved[dense[-1]].diagonal:
-        diagonal.insert(0, dense.pop())
-    mixing = dense.pop() if dense else None
-    rho = apply_assignment(clean, {q: resolved[q] for q in dense})
-    if mixing is None:
+        at_support.insert(0, dense.pop())
+    if dense:
+        at_support.insert(0, dense.pop())
+    rho = apply_assignment(registry.cluster_state(gate), {q: resolved[q] for q in dense})
+    first = at_support.pop(0) if at_support else None
+    if first is None:
         entries = rho.reshape(-1)[flat]
-    else:
-        grouping = registry.support_grouping(gate, mixing)
-        sources = FlippedEntries(rho, flat[grouping[0]], mixing, pattern.graph.num_vertices)
-        entries = apply_kraus_at(sources, resolved[mixing].operators, grouping)
+    elif dense:  # the first channel at the support reads a noisy state
+        grouping = registry.support_grouping(gate, first)
+        sources = FlippedEntries(rho, flat[grouping[0]], first, pattern.graph.num_vertices)
+        entries = apply_kraus_at(sources, resolved[first].operators, grouping)
         del sources  # it views the noisy state
-    del rho  # hold no noisy state while the product is summed
-    for q in diagonal:
+    else:  # it reads the pristine state
+        sources, grouping, expand = registry.support_classes(gate, first)
+        entries = apply_kraus_at(sources, resolved[first].operators, grouping)[expand]
+    del rho  # hold no noisy state while the channels above run
+    for q in at_support:
         grouping = registry.support_grouping(gate, q)
         entries = apply_kraus_at({(0, 0): entries[grouping[0]]}, resolved[q].operators, grouping)
-    entries = entries * values   # rho * W^T at the support, never in place
-    product = np.zeros(clean.shape, dtype=complex)
-    product.reshape(-1)[flat] = entries
-    val = complex(np.sum(product))
+    val = pairwise_sum_at(entries * values, plan)   # rho * W^T at the support, never in place
     if abs(val.imag) > 1e-10:
         raise ValueError(f"witness expectation has imaginary part {val.imag:.3e}")
     return FidelityResult(

@@ -31,9 +31,10 @@ gates ``validate`` checks, and the sections a registry file may hold.
 A pattern maps labels to vertices and orders its kept qubits once;
 ``MeasurementPattern.check_labels`` is the one check of a list of labels.
 ``PatternRegistry.cached`` is the one cache of what is built per gate
-(cluster state, the witness's nonzero entries that the formula reads and
-their grouping by each noisy qubit's block, the dense witness for the
-callers that ask for it, the oracle's branch table), for the latest theta.
+(cluster state, the witness's nonzero entries that the formula reads with
+the plan of their sum, their grouping by each noisy qubit's block and their
+classes on the pristine state, the dense witness for the callers that ask
+for it, the oracle's branch table), for the latest theta.
 """
 
 from __future__ import annotations
@@ -46,7 +47,15 @@ from importlib import resources
 
 import numpy as np
 
-from .engine import MAX_QUBITS, CapacityError, block_grouping, expectation, read_only
+from .engine import (
+    MAX_QUBITS,
+    CapacityError,
+    block_grouping,
+    expectation,
+    pairwise_plan,
+    read_only,
+    sign_classes,
+)
 from .graphs import Graph, PauliString, build_cluster_state, stabilizer
 
 #: The gate kinds, in the order the CLI and ``validate`` list them; a registry
@@ -261,19 +270,23 @@ class PatternRegistry:
         return self.cached("witness", gate.kind, gate.theta, lambda: self._build_witness(gate))
 
     def witness_support(self, gate: GateKind) -> tuple:
-        """``(flat, values)``: where the witness's transpose W^T is nonzero, and W^T there.
+        """``(flat, values, plan)``: where W^T is nonzero, W^T there, and how to sum it.
 
         ``flat`` holds the C-order flat indices of the nonzero entries of
         W^T, ascending, and ``values`` their entries; both are read-only.
-        W is a product of (1 + S)/2 factors, each S a signed permutation, so
-        a row of W has at most 2^m nonzeros for m factors: 3-7 % of the
-        matrix on the bundled gates. It is cached for the latest theta as its
-        own artefact; the dense product it is read from is not kept.
+        ``plan`` is ``engine.pairwise_plan`` of ``flat``, so that
+        ``engine.pairwise_sum_at(products, plan)`` of products at the
+        support is ``np.sum`` of the whole product matrix. W is a product of
+        (1 + S)/2 factors, each S a signed permutation, so a row of W has at
+        most 2^m nonzeros for m factors: 3-7 % of the matrix on the bundled
+        gates. The three are cached for the latest theta as one artefact;
+        the dense product they are read from is not kept.
         """
         def build():
             transposed = self._build_witness(gate).T.reshape(-1)   # a view: W is column-major
             flat = np.flatnonzero(transposed)
-            return read_only(flat), read_only(transposed[flat])
+            plan = pairwise_plan(flat, transposed.size)
+            return read_only(flat), read_only(transposed[flat]), plan
 
         return self.cached("support", gate.kind, gate.theta, build)
 
@@ -286,10 +299,25 @@ class PatternRegistry:
         ``(order, bounds)`` is kept; the grouped indices are gathered per call.
         """
         def build():
-            flat, _ = self.witness_support(gate)
+            flat = self.witness_support(gate)[0]
             return block_grouping(flat, qubit, self.pattern_for(gate).graph.num_vertices)
 
         return self.cached(("grouping", qubit), gate.kind, gate.theta, build)
+
+    def support_classes(self, gate: GateKind, qubit: int) -> tuple:
+        """``engine.sign_classes`` of the witness support on the pristine cluster state.
+
+        ``(sources, grouping, expand)``: the support's classes of equal
+        ``apply_kraus_at`` inputs on ``qubit``, so that a channel applied to
+        the pristine state at the support runs on one member per class.
+        Cached as the artefact ``("classes", qubit)`` for the latest theta;
+        it holds a few dozen sources and one index per support entry.
+        """
+        def build():
+            n = self.pattern_for(gate).graph.num_vertices
+            return sign_classes(self.cluster_state(gate), self.witness_support(gate)[0], qubit, n)
+
+        return self.cached(("classes", qubit), gate.kind, gate.theta, build)
 
     def witness_factors(self, gate: GateKind) -> Iterator[np.ndarray]:
         """Build the witness's factor matrices one at a time, in product order.

@@ -97,6 +97,12 @@ class TestConstructors:
         assert KrausChannel("phase", 0.0, (np.diag([1, 1j]),)).diagonal
         assert not random_channel(np.arange(1.0, 17.0)).diagonal
 
+    def test_diagonal_is_computed_once_per_channel(self):
+        channel = bit_flip(0.2)
+        assert "diagonal" not in vars(channel)
+        assert not channel.diagonal
+        assert vars(channel)["diagonal"] is False
+
     def test_generic_channel_completeness_enforced(self):
         ok = KrausChannel("ok", 0.0, (np.eye(2),))
         assert len(ok.operators) == 1

@@ -10,9 +10,13 @@ from clusterfid.engine import (
     conjugate_on_qubit,
     embed,
     expectation,
+    pairwise_plan,
+    pairwise_sum_at,
     partial_trace_raw,
     read_only,
+    sign_classes,
 )
+from clusterfid.patterns import CONTROLLED_Z, HADAMARD, IDENTITY, z_rotation
 from conftest import (
     assert_density_matrix,
     pure_density,
@@ -228,6 +232,124 @@ def _diagonal_operator_sets(rng) -> list:
                 for p in (0.0, 0.37, 1.0)]
     randoms = [random_diagonal_channel(rng, count) for count in (1, 2, 3)]
     return [channel.operators for channel in builtins + randoms]
+
+
+def _bits(value: complex) -> tuple:
+    return value.real.hex(), value.imag.hex()
+
+
+def _sum_at(flat, values, size) -> complex:
+    return pairwise_sum_at(values, pairwise_plan(flat, size))
+
+
+def _padded_sum(flat, values, size) -> complex:
+    """``np.sum`` of a zeroed 2^n x 2^n matrix holding ``values`` at the flat indices."""
+    dense = np.zeros(size, dtype=complex)
+    dense[flat] = values
+    side = int(round(size**0.5))
+    return complex(np.sum(dense.reshape(side, side)))
+
+
+def _random_support(rng, n) -> np.ndarray:
+    """Ascending flat indices of a 4^n array: sparse, in runs that fill lanes, or all."""
+    size = 4**n
+    kind = rng.integers(3)
+    if kind == 0:
+        return np.sort(rng.choice(size, size=int(rng.integers(1, size // 3 + 2)), replace=False))
+    if kind == 1:  # whole runs: several entries per lane, other lanes and leaves empty
+        starts = rng.choice(size, size=int(rng.integers(1, min(size, 8) + 1)), replace=False)
+        runs = [np.arange(a, min(size, a + int(rng.integers(1, 130)))) for a in starts]
+        return np.unique(np.concatenate(runs))
+    return np.arange(size)
+
+
+class TestPairwiseSumAt:
+    """The sum at the support is ``np.sum`` of the zero-padded array, bit for bit.
+
+    It reproduces numpy's pairwise summation tree, so these tests pin the
+    numpy build they run on (written against numpy 2.4).
+    """
+
+    def test_random_supports_are_bitwise_np_sum(self, rng):
+        for n in range(1, 9):
+            for _ in range(30):
+                flat = _random_support(rng, n)
+                scale = 10.0 ** rng.integers(-8, 3, size=len(flat))
+                values = (rng.normal(size=len(flat)) + 1j * rng.normal(size=len(flat))) * scale
+                expected = _padded_sum(flat, values, 4**n)
+                assert _bits(_sum_at(flat, values, 4**n)) == _bits(expected)
+
+    def test_negative_zeros_sum_to_positive_zero(self, rng):
+        for n in range(1, 9):
+            flat = _random_support(rng, n)
+            values = np.full(len(flat), complex(-0.0, -0.0))
+            expected = _padded_sum(flat, values, 4**n)
+            assert _bits(_sum_at(flat, values, 4**n)) == _bits(expected) == _bits(0j)
+
+    def test_cancelling_and_empty_sums(self):
+        flat = np.array([0, 4, 64, 65])
+        values = np.array([1.0, -1.0, 1e-300, -1e-300], dtype=complex)
+        assert _bits(_sum_at(flat, values, 256)) == _bits(0j)
+        empty = np.array([], dtype=np.intp)
+        assert _bits(_sum_at(empty, np.zeros(0, dtype=complex), 256)) == _bits(0j)
+
+    def test_every_bundled_support_is_bitwise_np_sum(self, registry, rng):
+        for gate in (IDENTITY, HADAMARD, z_rotation(0.7853981633974483), z_rotation(-2.3),
+                     CONTROLLED_Z):
+            flat, values, plan = registry.witness_support(gate)
+            size = 4 ** registry.pattern_for(gate).graph.num_vertices
+            noisy = values * (1 + 0.1 * rng.normal(size=len(flat)))
+            pristine = values * registry.cluster_state(gate).reshape(-1)[flat]
+            for products in (values, noisy, pristine):
+                expected = _padded_sum(flat, products, size)
+                assert _bits(pairwise_sum_at(products, plan)) == _bits(expected)
+
+    @pytest.mark.parametrize("size", [0, 2, 48, 96])
+    def test_sizes_off_the_fixed_tree_are_refused(self, size):
+        with pytest.raises(ValueError, match="powers of two"):
+            pairwise_plan(np.arange(min(size, 2)), size)
+
+
+class TestSignClasses:
+    """A channel run once per class gives each support entry its per-entry value, bit for bit."""
+
+    @pytest.mark.parametrize("gate", [IDENTITY, HADAMARD, z_rotation(0.7853981633974483),
+                                      CONTROLLED_Z], ids=str)
+    def test_classes_are_bitwise_the_per_entry_kernel(self, registry, rng, gate):
+        clean = registry.cluster_state(gate)
+        flat = registry.witness_support(gate)[0]
+        n = registry.pattern_for(gate).graph.num_vertices
+        for q in range(n):
+            sources, grouping, expand = sign_classes(clean, flat, q, n)
+            assert len(grouping[0]) <= 88 and expand.shape == flat.shape
+            channels = [family(p) for family in BUILTIN_CHANNELS.values() for p in (0.0, 0.37)]
+            channels += [random_channel(rng.normal(size=8 * count)) for count in (1, 2, 3, 4)]
+            for channel in channels:
+                per_entry = _kraus_at(clean, channel.operators, q, n, flat)
+                by_class = apply_kraus_at(sources, channel.operators, grouping)[expand]
+                assert by_class.tobytes() == per_entry.tobytes()
+
+    def test_zero_signs_of_the_imaginary_parts_are_kept(self, rng):
+        # real Kraus entries carry an imaginary zero's sign into the result
+        n = 3
+        mat = np.empty((8, 8), dtype=complex)
+        mat.real = rng.choice([-0.125, 0.125], size=(8, 8))
+        mat.imag = rng.choice([-0.0, 0.0], size=(8, 8))
+        flat = np.arange(64)
+        for q in range(n):
+            sources, grouping, expand = sign_classes(mat, flat, q, n)
+            for family in BUILTIN_CHANNELS.values():
+                for p in (0.0, 0.3, 1.0):
+                    ops = family(p).operators
+                    by_class = apply_kraus_at(sources, ops, grouping)[expand]
+                    assert by_class.tobytes() == _kraus_at(mat, ops, q, n, flat).tobytes()
+
+    def test_a_state_with_other_entries_is_refused(self, rng):
+        mat = random_density_matrix(rng, 3)
+        with pytest.raises(ValueError, match="sign classes"):
+            sign_classes(mat, np.arange(64), 1, 3)
+        with pytest.raises(ValueError, match="out of range"):
+            sign_classes(mat, np.arange(64), 3, 3)
 
 
 class TestExpectation:

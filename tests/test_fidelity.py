@@ -200,7 +200,7 @@ class TestSupportEvaluation:
         fidelity_formula(gate, {registry.pattern_for(gate).labels[0]: dephasing(0.2)}, registry)
         absent = object()
         assert registry.cached("witness", gate.kind, gate.theta, lambda: absent) is absent
-        flat, values = registry.witness_support(gate)
+        flat, values, _ = registry.witness_support(gate)
         transposed = np.ascontiguousarray(load_registry().witness_for(gate).T).reshape(-1)
         assert np.array_equal(flat, np.flatnonzero(transposed))
         assert np.array_equal(values, transposed[flat])
@@ -260,22 +260,32 @@ class TestDiagonalChannelsAtTheSupport:
             value = fidelity_formula(gate, assignment, registry).raw_value
             assert value == _dense_trace(registry, gate, assignment)
 
-    def test_grouping_is_built_once_per_qubit_and_angle(self, monkeypatch):
+    def test_groupings_and_classes_are_built_once_per_qubit_and_angle(self, monkeypatch):
         from clusterfid import patterns
 
         registry = load_registry()
         built = []
-        group = patterns.block_grouping
+        group, classes = patterns.block_grouping, patterns.sign_classes
         monkeypatch.setattr(patterns, "block_grouping",
-                            lambda flat, q, n: built.append(q) or group(flat, q, n))
+                            lambda flat, q, n: built.append(("grouping", q)) or group(flat, q, n))
+        monkeypatch.setattr(patterns, "sign_classes", lambda mat, flat, q, n:
+                            built.append(("classes", q)) or classes(mat, flat, q, n))
         labels = registry.pattern_for(z_rotation(0.3)).labels
-        assignment = dict.fromkeys(labels, dephasing(0.2))
+        every = dict.fromkeys(labels, dephasing(0.2))
+        one = {labels[2]: amplitude_damping(0.2)}
         for theta in (0.3, 0.3, 1.2, 1.2, 0.3):
-            fidelity_formula(z_rotation(theta), assignment, registry)
-        # every qubit once per angle; the second 0.3 comes after 1.2 dropped the first
-        assert built == list(range(len(labels))) * 3
-        fidelity_formula(z_rotation(0.3), {labels[2]: amplitude_damping(0.2)}, registry)
-        assert len(built) == 3 * len(labels)
+            fidelity_formula(z_rotation(theta), every, registry)
+            fidelity_formula(z_rotation(theta), one, registry)
+        # the lowest channel reads the pristine state through its qubit's classes
+        # and the ones above it read the support through their groupings, once
+        # per angle; the second 0.3 comes after 1.2 dropped the first
+        per_angle = [("classes", 0), *(("grouping", q) for q in range(1, len(labels))),
+                     ("classes", 2)]
+        assert built == per_angle * 3
+        # above a channel on the whole state, qubit 2 reads the noisy state
+        # through the grouping it already has
+        fidelity_formula(z_rotation(0.3), {labels[0]: amplitude_damping(0.2), **one}, registry)
+        assert built == per_angle * 3
 
 
 class TestResolveAssignment:
