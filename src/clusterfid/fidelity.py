@@ -19,7 +19,7 @@ nonzero, so no dense witness is needed, and it applies there alone its
 highest non-diagonal channel and every diagonal channel above it, and sums
 there in ``np.sum``'s order. The registry keeps what each gate needs again
 (its cluster state, witness support with its sum plan, the support's
-grouping or classes per noisy qubit, and branch table) for the latest theta
+grouping and classes per noisy qubit, and branch table) for the latest theta
 only. Assignments are keyed by qubit label and checked by
 ``MeasurementPattern.check_labels``.
 """
@@ -113,8 +113,9 @@ def fidelity_formula(
     qubit's block (``PatternRegistry.support_grouping``). When no channel
     runs on the whole state, the first one at the support reads the
     pristine cluster state, whose entries fall into a few dozen classes of
-    equal inputs (``PatternRegistry.support_classes``): it runs on one
-    member per class, and each entry takes its class's value. The products
+    equal inputs (``PatternRegistry.support_classes``): from a qubit's
+    second such call at an angle on, it runs on one member per class, and
+    each entry takes its class's value. The products
     are summed by ``engine.pairwise_sum_at`` in the order ``np.sum`` adds
     the whole product, whose other entries are exact zeros, so the value
     keeps every bit of the dense trace.
@@ -131,15 +132,17 @@ def fidelity_formula(
         at_support.insert(0, dense.pop())
     rho = apply_assignment(registry.cluster_state(gate), {q: resolved[q] for q in dense})
     first = at_support.pop(0) if at_support else None
+    # with no channel on the whole state, the first one reads the pristine state
+    classes = None if first is None or dense else registry.support_classes(gate, first)
     if first is None:
         entries = rho.reshape(-1)[flat]
-    elif dense:  # the first channel at the support reads a noisy state
+    elif classes is None:
         grouping = registry.support_grouping(gate, first)
         sources = FlippedEntries(rho, flat[grouping[0]], first, pattern.graph.num_vertices)
         entries = apply_kraus_at(sources, resolved[first].operators, grouping)
         del sources  # it views the noisy state
-    else:  # it reads the pristine state
-        sources, grouping, expand = registry.support_classes(gate, first)
+    else:
+        sources, grouping, expand = classes
         entries = apply_kraus_at(sources, resolved[first].operators, grouping)[expand]
     del rho  # hold no noisy state while the channels above run
     for q in at_support:

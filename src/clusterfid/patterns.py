@@ -304,15 +304,23 @@ class PatternRegistry:
 
         return self.cached(("grouping", qubit), gate.kind, gate.theta, build)
 
-    def support_classes(self, gate: GateKind, qubit: int) -> tuple:
-        """``engine.sign_classes`` of the witness support on the pristine cluster state.
+    def support_classes(self, gate: GateKind, qubit: int) -> tuple | None:
+        """``engine.sign_classes`` of the witness support on the pristine cluster state, or None.
 
         ``(sources, grouping, expand)``: the support's classes of equal
         ``apply_kraus_at`` inputs on ``qubit``, so that a channel applied to
         the pristine state at the support runs on one member per class.
-        Cached as the artefact ``("classes", qubit)`` for the latest theta;
-        it holds a few dozen sources and one index per support entry.
+        Building them costs more than one pass per entry, so the first
+        request per qubit and angle is only recorded and answered with
+        None: a single call on a fresh registry, as every ``cli`` command
+        makes, runs per entry. From the second request on they are cached
+        as the artefact ``("classes", qubit)`` for the latest theta; they
+        hold a few dozen sources and one index per support entry.
         """
+        marker = object()
+        if self.cached(("requested", qubit), gate.kind, gate.theta, lambda: marker) is marker:
+            return None
+
         def build():
             n = self.pattern_for(gate).graph.num_vertices
             return sign_classes(self.cluster_state(gate), self.witness_support(gate)[0], qubit, n)

@@ -273,19 +273,22 @@ class TestDiagonalChannelsAtTheSupport:
         labels = registry.pattern_for(z_rotation(0.3)).labels
         every = dict.fromkeys(labels, dephasing(0.2))
         one = {labels[2]: amplitude_damping(0.2)}
-        for theta in (0.3, 0.3, 1.2, 1.2, 0.3):
+        for theta in (0.3, 0.3, 0.3, 1.2, 1.2, 0.3):
             fidelity_formula(z_rotation(theta), every, registry)
             fidelity_formula(z_rotation(theta), one, registry)
-        # the lowest channel reads the pristine state through its qubit's classes
-        # and the ones above it read the support through their groupings, once
-        # per angle; the second 0.3 comes after 1.2 dropped the first
-        per_angle = [("classes", 0), *(("grouping", q) for q in range(1, len(labels))),
-                     ("classes", 2)]
-        assert built == per_angle * 3
+        # the lowest channel reads the pristine state: per entry at a qubit's
+        # first such call at an angle, and through its classes, built once,
+        # from the second on; the channels above it read the support through
+        # their groupings. A new angle starts over.
+        groupings = [("grouping", q) for q in range(len(labels))]
+        per_angle = groupings + [("classes", 0), ("classes", 2)]
+        assert built == per_angle * 2 + groupings
         # above a channel on the whole state, qubit 2 reads the noisy state
-        # through the grouping it already has
+        # through its grouping; that is not a pristine call
         fidelity_formula(z_rotation(0.3), {labels[0]: amplitude_damping(0.2), **one}, registry)
-        assert built == per_angle * 3
+        assert built == per_angle * 2 + groupings
+        fidelity_formula(z_rotation(0.3), one, registry)
+        assert built == per_angle * 2 + groupings + [("classes", 2)]
 
 
 class TestResolveAssignment:
