@@ -278,22 +278,22 @@ def sign_classes(mat: np.ndarray, flat: np.ndarray, qubit: int, num_qubits: int)
         raise ValueError(f"qubit {qubit} out of range for {num_qubits} qubits")
     row_bit, col_bit = _block_bits(qubit, num_qubits)
     rho = mat.reshape(-1)
-    flips = list(itertools.product((0, 1), repeat=2))
-    # column i: the sources of flip i, in product order
-    gathered = rho[flat[:, None] ^ [row_bit * a | col_bit * b for a, b in flips]]
-    if not np.all((np.abs(gathered.real) == abs(rho[0].real)) & (gathered.imag == 0)):
-        raise ValueError("sign classes need a state whose every entry is ±|rho[0, 0]|")
-    signs = np.signbit(gathered.real) * 2 + np.signbit(gathered.imag)
-    block = ((flat & row_bit) != 0) * 2 + ((flat & col_bit) != 0)   # in product order
-    key = block * 256 + signs @ [64, 16, 4, 1]
+    magnitude = abs(rho[0].real)
+    flips = {(a, b): row_bit * a | col_bit * b for a, b in itertools.product((0, 1), repeat=2)}
+    key = ((flat & row_bit) != 0) * 2 + ((flat & col_bit) != 0)   # the block, in product order
+    for flip in flips.values():
+        source = rho[flat ^ flip]
+        if not np.all((np.abs(source.real) == magnitude) & (source.imag == 0)):
+            raise ValueError("sign classes need a state whose every entry is ±|rho[0, 0]|")
+        key = key * 4 + np.signbit(source.real) * 2 + np.signbit(source.imag)
     present = np.zeros(4 * 256, dtype=bool)
     present[key] = True
     keys = np.flatnonzero(present)
     member = np.empty(present.shape, dtype=np.intp)
     member[key] = np.arange(len(key))    # any member stands for its class
-    representatives = gathered[member[keys]]
+    at = flat[member[keys]]
+    sources = {pair: read_only(rho[at ^ flip]) for pair, flip in flips.items()}
     bounds = np.searchsorted(keys >> 8, (1, 2, 3))
-    sources = {flip: read_only(representatives[:, i]) for i, flip in enumerate(flips)}
     grouping = (read_only(np.arange(len(keys))), (0, *bounds.tolist(), len(keys)))
     return sources, grouping, read_only((np.cumsum(present) - 1)[key])
 

@@ -150,15 +150,16 @@ def test_cold_formula_holds_cluster_state_and_support_only(gate):
 def test_warm_formula_with_one_noisy_qubit_peaks_under_half_a_state(gate):
     # the channel runs on the support's classes and the products are summed
     # at the support, so no state-sized array is made: the peak is the
-    # support's entries, their products and the sum's lane tree (0.17-0.22)
+    # support's entries, their products and the sum's lane tree (0.17-0.22),
+    # and 0.20-0.26 at the second call, which builds the classes
     registry = load_registry()
     for label in registry.pattern_for(gate).labels:
         for channel in (amplitude_damping(0.3), dephasing(0.3)):
             assignment = {label: channel}
-            for _ in range(2):  # builds the support, then the qubit's classes
-                fidelity_formula(gate, assignment, registry)
-            _, peak = traced(lambda: fidelity_formula(gate, assignment, registry))
-            assert peak / state_bytes(registry, gate) <= 0.55
+            fidelity_formula(gate, assignment, registry)  # builds the support, runs per entry
+            for _ in range(2):  # builds the qubit's classes, then reads them
+                _, peak = traced(lambda: fidelity_formula(gate, assignment, registry))
+                assert peak / state_bytes(registry, gate) <= 0.55
 
 
 def _diagonal_on_every_qubit(registry, gate) -> dict:
