@@ -115,10 +115,10 @@ def fidelity_formula(
     pristine cluster state, whose entries fall into a few dozen classes of
     equal inputs (``PatternRegistry.support_classes``): from a qubit's
     second such call at an angle on, it runs on one member per class, and
-    each entry takes its class's value. The products
-    are summed by ``engine.pairwise_sum_at`` in the order ``np.sum`` adds
-    the whole product, whose other entries are exact zeros, so the value
-    keeps every bit of the dense trace.
+    each entry takes its class's value. The products are summed by
+    ``engine.pairwise_sum_at`` in the order ``np.sum`` adds the whole
+    product, whose other entries are exact zeros, so the value keeps every
+    bit of the dense trace.
     """
     registry = registry or default_registry()
     pattern = registry.pattern_for(gate)
@@ -140,7 +140,7 @@ def fidelity_formula(
         grouping = registry.support_grouping(gate, first)
         sources = FlippedEntries(rho, flat[grouping[0]], first, pattern.graph.num_vertices)
         entries = apply_kraus_at(sources, resolved[first].operators, grouping)
-        del sources  # it views the noisy state
+        del sources  # it views the state
     else:
         sources, grouping, expand = classes
         entries = apply_kraus_at(sources, resolved[first].operators, grouping)[expand]
