@@ -5,13 +5,13 @@ matrices that stay alive: for the formula the registry should keep one
 cluster state and the witness support with its sum plan (under a seventh of
 a state) per gate, and the support's grouping by each noisy qubit's block
 and, from the qubit's second call on the pristine state, its classes there
-(a few hundredths of a state apiece), for the latest angle only, and no dense witness and no noisy state; a
-witness build should hold the product and one gathered copy; a formula call
-that runs no channel on the whole state (every channel diagonal but
-perhaps the lowest) should make no state-sized array, and one with a
-non-diagonal channel on every qubit should peak near three states, while it
-applies the channels below the highest one to the whole state; the oracle
-should walk one copy of the state.
+(a few hundredths of a state apiece), for the latest angle only, and no
+dense witness and no noisy state; a witness build should hold the product
+and one gathered copy; a formula call that runs no channel on the whole
+state (every channel diagonal but perhaps the lowest) should make no
+state-sized array, and one with a non-diagonal channel on every qubit should
+peak near three states, while it applies the channels below the highest one
+to the whole state; the oracle should walk one copy of the state.
 """
 
 import gc
@@ -183,7 +183,7 @@ def test_warm_formula_with_a_diagonal_channel_on_every_qubit_peaks_under_half_a_
 def test_cold_formula_keeps_one_grouping_per_noisy_qubit(gate):
     # one int64 order per qubit (a first call builds no classes), each half
     # the bytes of the complex support values, and the sum plan's int64 lane
-    # per support entry: 1.22-1.39 states
+    # per support entry: 1.20-1.38 states
     registry = load_registry()
     assignment = _diagonal_on_every_qubit(registry, gate)
     held, _ = traced(lambda: fidelity_formula(gate, assignment, registry))
