@@ -312,8 +312,8 @@ class PatternRegistry:
         the pristine state at the support runs on one member per class.
         Building them costs more than one pass per entry, so the first
         request per qubit and angle is only recorded and answered with
-        None: a single call on a fresh registry, as every ``cli`` command
-        makes, runs per entry. From the second request on they are cached
+        None: a single call on a fresh registry, such as a ``cli eval``,
+        runs per entry. From the second request on they are cached
         as the artefact ``("classes", qubit)`` for the latest theta; they
         hold a few dozen sources and one index per support entry.
         """
