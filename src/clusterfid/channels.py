@@ -24,20 +24,29 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import apply_kraus, read_only
+from .engine import apply_kraus, kraus_table, read_only
 # Unused here, but the benchmark tracer (perfbench/tracing.py) wraps this site.
 from .engine import conjugate_on_qubit  # noqa: F401
 
 COMPLETENESS_ATOL = 1e-12
+
+#: The built-in families share one channel per rate from a memo this large:
+#: an analysis that sweeps every qubit over one grid builds each channel once,
+#: and a longer walk of rates only misses the memo.
+SHARED_CHANNELS = 256
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """One noise process: a named list of 2x2 Kraus operators at rate p."""
+    """One noise process: a named list of 2x2 Kraus operators at rate p.
+
+    Two channels are equal, and hash alike, when their names, rates and
+    operator bytes are.
+    """
 
     name: str
     error_rate: float
@@ -70,6 +79,17 @@ class KrausChannel:
             )
         object.__setattr__(self, "operators", tuple(stack))
 
+    def _key(self) -> tuple:
+        return self.name, self.error_rate, b"".join(op.tobytes() for op in self.operators)
+
+    def __eq__(self, other):
+        if not isinstance(other, KrausChannel):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     @functools.cached_property
     def diagonal(self) -> bool:
         """Whether every Kraus operator is diagonal, as for dephasing and phase damping.
@@ -80,6 +100,11 @@ class KrausChannel:
         channel: the operators are frozen.
         """
         return not any(op[0, 1] or op[1, 0] for op in self.operators)
+
+    @functools.cached_property
+    def table(self) -> tuple:
+        """The ``engine.kraus_table`` both kernels run from, built once per channel."""
+        return kraus_table(self.operators)
 
     def apply_single(self, rho2: np.ndarray) -> np.ndarray:
         """Apply to a bare 2x2 density matrix, as the sum over the Kraus operators.
@@ -98,29 +123,50 @@ def _check_rate(p: float) -> float:
     return p
 
 
+@functools.lru_cache(maxsize=SHARED_CHANNELS)
+def _shared(build: Callable[[float], KrausChannel], bits: str) -> KrausChannel:
+    return build(float.fromhex(bits))
+
+
+def _builtin(build: Callable[[float], KrausChannel]) -> Callable[[float], KrausChannel]:
+    """A family that checks the rate, then returns the one shared channel built for it.
+
+    The memo is keyed by the rate's bits, not its value, so ``-0.0`` keeps
+    its own channel (printed ``-0``); a refused rate raises on every call.
+    It holds at most ``SHARED_CHANNELS`` channels over all four families,
+    dropping the least recently used.
+    """
+
+    @functools.wraps(build)
+    def family(p: float) -> KrausChannel:
+        return _shared(build, _check_rate(p).hex())
+
+    return family
+
+
+@_builtin
 def bit_flip(p: float) -> KrausChannel:
     """X-type noise: flip the qubit with probability p."""
-    p = _check_rate(p)
     return KrausChannel("bitflip", p, (math.sqrt(1 - p) * _I2, math.sqrt(p) * _X))
 
 
+@_builtin
 def dephasing(p: float) -> KrausChannel:
     """Z-type noise: apply a phase flip with probability p."""
-    p = _check_rate(p)
     return KrausChannel("dephasing", p, (math.sqrt(1 - p) * _I2, math.sqrt(p) * _Z))
 
 
+@_builtin
 def phase_damping(p: float) -> KrausChannel:
     """Coherence decay without population transfer."""
-    p = _check_rate(p)
     e1 = np.array([[1, 0], [0, math.sqrt(1 - p)]], dtype=complex)
     e2 = np.array([[0, 0], [0, math.sqrt(p)]], dtype=complex)
     return KrausChannel("phasedamp", p, (e1, e2))
 
 
+@_builtin
 def amplitude_damping(p: float) -> KrausChannel:
     """Energy relaxation |1> -> |0> with probability p."""
-    p = _check_rate(p)
     e1 = np.array([[1, 0], [0, math.sqrt(1 - p)]], dtype=complex)
     e2 = np.array([[0, math.sqrt(p)], [0, 0]], dtype=complex)
     return KrausChannel("ampdamp", p, (e1, e2))
@@ -206,5 +252,5 @@ def apply_assignment(mat: np.ndarray, assignment: dict) -> np.ndarray:
     if not noisy:
         return read_only(mat)
     for q in noisy:
-        mat = apply_kraus(mat, assignment[q].operators, q, n)
+        mat = apply_kraus(mat, assignment[q].table, q, n)
     return mat

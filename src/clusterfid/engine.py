@@ -117,18 +117,38 @@ def conjugate_on_qubit(
     return out
 
 
-def apply_kraus(
-    mat: np.ndarray, operators: Sequence[np.ndarray], qubit: int, num_qubits: int
-) -> np.ndarray:
-    """Return ``sum_K K rho K^dag`` for 2x2 Kraus operators K on ``qubit``.
+def kraus_table(operators: Sequence[np.ndarray]) -> tuple:
+    """The terms ``apply_kraus`` and ``apply_kraus_at`` add, for 2x2 Kraus operators K.
+
+    One tuple per output block ``(c, e)``, in the order (0, 0), (0, 1),
+    (1, 0), (1, 1), of the terms ``(flip, K[c, a], conj(K[e, b]))`` over K,
+    then a and b, with ``flip = (a ^ c, b ^ e)``; a term with a zero Kraus
+    entry is left out, and a block with no term is zero. The entries are
+    Python complex numbers. ``KrausChannel.table`` builds it once per
+    channel, so no kernel call converts or tests the operators again.
+    """
+    ops = [_as_matrix(op) for op in operators]
+    if any(op.shape != (2, 2) for op in ops):
+        raise ValueError("expected 2x2 Kraus operators")
+    kraus = [op.tolist() for op in ops]
+    return tuple(
+        tuple(((a ^ c, b ^ e), k[c][a], k[e][b].conjugate())
+              for k in kraus for a, b in itertools.product((0, 1), repeat=2)
+              if k[c][a] != 0 and k[e][b] != 0)
+        for c, e in itertools.product((0, 1), repeat=2)
+    )
+
+
+def apply_kraus(mat: np.ndarray, table: tuple, qubit: int, num_qubits: int) -> np.ndarray:
+    """Return ``sum_K K rho K^dag`` for the ``kraus_table`` of 2x2 Kraus operators K on ``qubit``.
 
     Works on the qubit's own tensor axes, without permuting: ``mat`` is
     viewed as ``rho[hi, a, mid, b, lo]``, with ``a``/``b`` the qubit's row
-    and column bit, and each output block ``(c, e)`` is the sum over K, a
-    and b of ``(K[c, a] * rho[a, b]) * conj(K[e, b])``, skipping zero
-    entries of K. The work is elementwise, into one fresh output and two
-    quarter-size scratch buffers, so the qubit's position moves its cost
-    far less than it moves that of ``conjugate_on_qubit``.
+    and column bit, and each output block ``(c, e)`` is the sum of its
+    table terms ``(K[c, a] * rho[a, b]) * conj(K[e, b])``, in table order.
+    The work is elementwise, into one fresh output and two quarter-size
+    scratch buffers, so the qubit's position moves its cost far less than
+    it moves that of ``conjugate_on_qubit``.
 
     A built-in channel's Kraus operators have at most one nonzero entry per
     row, so each output entry is the same rounded product, summed over K in
@@ -136,9 +156,6 @@ def apply_kraus(
     two agree bit for bit. A general operator sums up to four products per
     entry, rounded in another order, so there they agree to about 1e-16.
     """
-    ops = [_as_matrix(op) for op in operators]
-    if any(op.shape != (2, 2) for op in ops):
-        raise ValueError("expected 2x2 Kraus operators")
     if not (0 <= qubit < num_qubits):
         raise ValueError(f"qubit {qubit} out of range for {num_qubits} qubits")
     left = 2**qubit
@@ -147,26 +164,17 @@ def apply_kraus(
     out = np.empty(rho.shape, dtype=complex)
     row = np.empty((left, right * left, right), dtype=complex)  # K[c, a] * rho[a, b]
     term = np.empty_like(row)
-    filled = set()
-    for op in ops:
-        k = op.tolist()
-        for c, a, b in itertools.product((0, 1), repeat=3):
-            if k[c][a] == 0 or not (k[0][b] or k[1][b]):
-                continue
-            np.multiply(rho[:, a, :, b, :], k[c][a], out=row)
-            for e in (0, 1):
-                if k[e][b] == 0:
-                    continue
-                block = out[:, c, :, e, :]
-                if (c, e) in filled:
-                    np.multiply(row, k[e][b].conjugate(), out=term)
-                    block += term
-                else:
-                    np.multiply(row, k[e][b].conjugate(), out=block)
-                    filled.add((c, e))
-    for c, e in itertools.product((0, 1), repeat=2):
-        if (c, e) not in filled:
-            out[:, c, :, e, :] = 0
+    for (c, e), terms in zip(itertools.product((0, 1), repeat=2), table):
+        block = out[:, c, :, e, :]
+        if not terms:
+            block[...] = 0
+        for i, ((fa, fb), kca, keb) in enumerate(terms):
+            np.multiply(rho[:, c ^ fa, :, e ^ fb, :], kca, out=row)
+            if i:
+                np.multiply(row, keb, out=term)
+                block += term
+            else:
+                np.multiply(row, keb, out=block)
     return out.reshape(mat.shape)
 
 
@@ -212,46 +220,37 @@ class FlippedEntries(dict):
         return value
 
 
-def apply_kraus_at(sources, operators: Sequence[np.ndarray], grouping: tuple) -> np.ndarray:
+def apply_kraus_at(sources, table: tuple, grouping: tuple) -> np.ndarray:
     """``apply_kraus`` on one qubit at chosen entries only, grouped by ``block_grouping``.
 
     ``grouping`` is the ``(order, bounds)`` of the chosen flat indices, and
-    ``sources[(a ^ c, b ^ e)]`` is the state at those indices taken in
-    ``order``, with the qubit's row and column bits flipped by that pair:
-    ``FlippedEntries`` on a dense state. An entry in block ``(c, e)`` sums,
-    over K, a and b, ``(K[c, a] * rho[a, b]) * conj(K[e, b])``; each term is
-    one scalar product over a group. The terms are the ones ``apply_kraus``
-    forms, rounded the same way and added in the same order, skipping the
-    same zero entries of K, so each value is bit for bit the dense one, for
-    any Kraus operators. Diagonal operators read flip (0, 0) only: a plain
-    ``{(0, 0): values}`` holding the entries themselves is enough for them.
-    The result comes in the order of the chosen indices, not grouped.
+    ``sources[flip]`` is the state at those indices taken in ``order``, with
+    the qubit's row and column bits flipped by that pair: ``FlippedEntries``
+    on a dense state. An entry in block ``(c, e)`` sums that block's
+    ``kraus_table`` terms ``(K[c, a] * rho[a, b]) * conj(K[e, b])``; each
+    term is one scalar product over a group. The terms are the ones
+    ``apply_kraus`` forms, rounded the same way and added in the same order,
+    so each value is bit for bit the dense one, for any Kraus operators.
+    Diagonal operators read flip (0, 0) only: a plain ``{(0, 0): values}``
+    holding the entries themselves is enough for them. The result comes in
+    the order of the chosen indices, not grouped.
     """
-    ops = [_as_matrix(op) for op in operators]
-    if any(op.shape != (2, 2) for op in ops):
-        raise ValueError("expected 2x2 Kraus operators")
-    kraus = [op.tolist() for op in ops]
     order, bounds = grouping
     grouped = np.empty(order.shape, dtype=complex)
-    for (c, e), start, end in zip(itertools.product((0, 1), repeat=2), bounds, bounds[1:]):
+    for terms, start, end in zip(table, bounds, bounds[1:]):
         if start == end:
             continue
         group = grouped[start:end]
-        filled = False
-        for k in kraus:
-            for a, b in itertools.product((0, 1), repeat=2):
-                if k[c][a] == 0 or k[e][b] == 0:
-                    continue
-                # no product is taken in place, as in apply_kraus: numpy rounds
-                # an in-place complex product of a single entry without FMA
-                row = np.multiply(sources[a ^ c, b ^ e][start:end], k[c][a])
-                if filled:
-                    group += np.multiply(row, k[e][b].conjugate())
-                else:
-                    np.multiply(row, k[e][b].conjugate(), out=group)
-                    filled = True
-        if not filled:
+        if not terms:
             group[...] = 0
+        for i, (flip, kca, keb) in enumerate(terms):
+            # no product is taken in place, as in apply_kraus: numpy rounds
+            # an in-place complex product of a single entry without FMA
+            row = np.multiply(sources[flip][start:end], kca)
+            if i:
+                group += np.multiply(row, keb)
+            else:
+                np.multiply(row, keb, out=group)
     out = np.empty_like(grouped)
     out[order] = grouped
     return out
@@ -269,7 +268,7 @@ def sign_classes(mat: np.ndarray, flat: np.ndarray, qubit: int, num_qubits: int)
     eight bits; a source that is not exactly ±|mat[0, 0]| raises
     ``ValueError``. ``sources`` holds one member's four sources per class,
     with the classes ordered by block, ``grouping`` is their
-    ``(order, bounds)``, and ``apply_kraus_at(sources, ops,
+    ``(order, bounds)``, and ``apply_kraus_at(sources, table,
     grouping)[expand]`` is ``apply_kraus_at`` on the entries themselves, bit
     for bit, in the order of ``flat``. The bundled supports have 34-88
     classes per qubit.

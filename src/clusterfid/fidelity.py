@@ -139,15 +139,15 @@ def fidelity_formula(
     elif classes is None:
         grouping = registry.support_grouping(gate, first)
         sources = FlippedEntries(rho, flat[grouping[0]], first, pattern.graph.num_vertices)
-        entries = apply_kraus_at(sources, resolved[first].operators, grouping)
+        entries = apply_kraus_at(sources, resolved[first].table, grouping)
         del sources  # it views the state
     else:
         sources, grouping, expand = classes
-        entries = apply_kraus_at(sources, resolved[first].operators, grouping)[expand]
+        entries = apply_kraus_at(sources, resolved[first].table, grouping)[expand]
     del rho  # hold no noisy state while the channels above run
     for q in at_support:
         grouping = registry.support_grouping(gate, q)
-        entries = apply_kraus_at({(0, 0): entries[grouping[0]]}, resolved[q].operators, grouping)
+        entries = apply_kraus_at({(0, 0): entries[grouping[0]]}, resolved[q].table, grouping)
     val = pairwise_sum_at(entries * values, plan)   # rho * W^T at the support, never in place
     if abs(val.imag) > 1e-10:
         raise ValueError(f"witness expectation has imaginary part {val.imag:.3e}")

@@ -187,6 +187,22 @@ class TestComparePatterns:
         assert abs(rep.slope_a - rep.slope_b) <= 1e-6
         assert abs(abs(rep.slope_a) - 3.0) <= 1e-6
 
+    @pytest.mark.parametrize("name, dominance, f_a, f_b, slope", [
+        ("dephasing", "A", 0.5, 0.25, -3.0),
+        ("phasedamp", "A", 0.6768, 0.6402, -0.75),
+        ("bitflip", "tie", 0.5, 0.5, -2.0),
+        ("ampdamp", "B", 0.4451, 0.4634, -1.5),
+    ])
+    def test_which_set_wins_depends_on_the_channel(self, registry, name, dominance, f_a, f_b,
+                                                    slope):
+        # Hadamard, protecting {1,3,5} (one witness-factor group) or {1,2,3}
+        rep = compare_patterns(
+            HADAMARD, BUILTIN_CHANNELS[name], ["1", "3", "5"], ["1", "2", "3"], registry=registry
+        )
+        assert rep.dominance == dominance
+        assert abs(rep.curve_a.at(0.5) - f_a) <= 5e-5 and abs(rep.curve_b.at(0.5) - f_b) <= 5e-5
+        assert abs(rep.slope_a - slope) <= 1e-6 and abs(rep.slope_b - slope) <= 1e-6
+
     def test_evaluates_the_curves_and_the_two_set_slopes_only(self, registry, monkeypatch):
         # 2 curves x 11 points and 2 slopes x 3 points; the exposed qubits'
         # own slopes are not computed

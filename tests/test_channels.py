@@ -98,7 +98,8 @@ class TestConstructors:
         assert not random_channel(np.arange(1.0, 17.0)).diagonal
 
     def test_diagonal_is_computed_once_per_channel(self):
-        channel = bit_flip(0.2)
+        # a channel of its own: the built-in families share theirs
+        channel = KrausChannel("bitflip", 0.2, bit_flip(0.2).operators)
         assert "diagonal" not in vars(channel)
         assert not channel.diagonal
         assert vars(channel)["diagonal"] is False
@@ -108,6 +109,68 @@ class TestConstructors:
         assert len(ok.operators) == 1
         with pytest.raises(ValueError, match="completeness"):
             KrausChannel("bad", 0.0, (0.9 * np.eye(2),))
+
+
+class TestEquality:
+    def test_equal_channels_built_apart_compare_and_hash_equal(self):
+        a = KrausChannel("bitflip", 0.2, bit_flip(0.2).operators)
+        b = KrausChannel("bitflip", 0.2, [np.array(op) for op in bit_flip(0.2).operators])
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a == bit_flip(0.2) and hash(a) == hash(bit_flip(0.2))
+        assert len({a, b, bit_flip(0.2)}) == 1
+
+    def test_other_operators_names_or_rates_compare_unequal(self):
+        base = bit_flip(0.2)
+        others = [
+            KrausChannel("bitflip", 0.2, dephasing(0.2).operators),
+            KrausChannel("bitflip", 0.2, bit_flip(0.2).operators[::-1]),
+            KrausChannel("other", 0.2, base.operators),
+            KrausChannel("bitflip", 0.3, base.operators),
+            random_channel(np.arange(1.0, 17.0)),
+        ]
+        for other in others:
+            assert base != other and not base == other
+        assert base != "bitflip(0.2)"
+
+    def test_a_negative_zero_rate_is_its_own_channel(self):
+        # the rates compare equal, but sqrt(-0.0) is -0.0 in the operators
+        assert bit_flip(-0.0) != bit_flip(0.0)
+
+
+class TestSharedBuiltins:
+    @pytest.mark.parametrize("family", list(BUILTIN_CHANNELS.values()))
+    def test_one_channel_per_rate(self, family):
+        assert family(0.2) is family(0.2) is family(np.float64(0.2))
+        assert family(0.2) is not family(0.3)
+        assert family(1) is family(1.0)
+
+    def test_families_do_not_share_a_channel(self):
+        assert len({id(family(0.2)) for family in BUILTIN_CHANNELS.values()}) == 4
+
+    def test_a_negative_zero_keeps_its_printed_sign(self, capsys):
+        from clusterfid.cli import main
+
+        for spec, printed in (("bitflip(0)", "bitflip(0)@1"), ("bitflip(-0)", "bitflip(-0)@1"),
+                              ("bitflip(0)", "bitflip(0)@1")):
+            assert main(["eval", "--gate", "identity", "--channel", spec, "--qubit", "1"]) == 0
+            assert printed in capsys.readouterr().out
+        assert bit_flip(-0.0).error_rate.hex() == "-0x0.0p+0"
+        assert bit_flip(0.0).error_rate.hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("family", list(BUILTIN_CHANNELS.values()))
+    def test_a_refused_rate_is_refused_on_every_call(self, family):
+        for rate in (float("nan"), -5, 2):
+            for _ in range(3):
+                with pytest.raises(ValueError, match="error rate"):
+                    family(rate)
+
+    def test_the_memo_is_bounded(self):
+        assert channels.SHARED_CHANNELS == 256
+        first = bit_flip(0.123)
+        for k in range(channels.SHARED_CHANNELS):
+            dephasing(k / 1000 + 1e-4)
+        # every family shares the one memo, so the oldest channel was dropped
+        assert bit_flip(0.123) is not first and bit_flip(0.123) == first
 
 
 class TestSingleQubitAction:
@@ -214,9 +277,9 @@ class TestApplyAssignment:
         """The ``qubit`` argument of every ``apply_kraus`` call channels make."""
         qubits = []
 
-        def recording(mat, operators, qubit, num_qubits):
+        def recording(mat, table, qubit, num_qubits):
             qubits.append(qubit)
-            return apply_kraus(mat, operators, qubit, num_qubits)
+            return apply_kraus(mat, table, qubit, num_qubits)
 
         monkeypatch.setattr(channels, "apply_kraus", recording)
         return qubits

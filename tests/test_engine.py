@@ -10,6 +10,7 @@ from clusterfid.engine import (
     conjugate_on_qubit,
     embed,
     expectation,
+    kraus_table,
     pairwise_plan,
     pairwise_sum_at,
     partial_trace_raw,
@@ -110,6 +111,30 @@ class TestConjugateOnQubit:
         assert_density_matrix(out, check_psd=True)
 
 
+class TestKrausTable:
+    def test_terms_come_per_block_in_the_dense_order_without_zeros(self):
+        # ampdamp(0.36): E1 = diag(1, 0.8), E2 = [[0, 0.6], [0, 0]]
+        table = kraus_table(BUILTIN_CHANNELS["ampdamp"](0.36).operators)
+        assert table == (
+            (((0, 0), 1, 1), ((1, 1), 0.6, 0.6)),   # block (0, 0)
+            (((0, 0), 1, 0.8),),                     # block (0, 1)
+            (((0, 0), 0.8, 1),),                     # block (1, 0)
+            (((0, 0), 0.8, 0.8),),                   # block (1, 1)
+        )
+        assert kraus_table([np.zeros((2, 2))]) == ((), (), (), ())
+
+    def test_the_column_factor_is_conjugated(self):
+        table = kraus_table([np.array([[0, 1j], [1, 0]])])
+        assert table == ((((1, 1), 1j, -1j),), (((1, 1), 1j, 1),),
+                         (((1, 1), 1, -1j),), (((1, 1), 1, 1),))
+
+    def test_a_non_2x2_operator_is_refused(self):
+        with pytest.raises(ValueError, match="2x2"):
+            kraus_table([np.eye(2), np.eye(4)])
+        with pytest.raises(ValueError, match="square"):
+            kraus_table([np.zeros(2)])
+
+
 class TestApplyKraus:
     def test_matches_sum_of_embedded_conjugations(self, rng):
         # oracle: lift each operator and sum the dense conjugations
@@ -120,7 +145,8 @@ class TestApplyKraus:
                     ops = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
                     lifted = [embed(op, [q], n) for op in ops]
                     direct = sum(k @ mat @ k.conj().T for k in lifted)
-                    assert np.max(np.abs(apply_kraus(mat, ops, q, n) - direct)) <= 1e-14
+                    out = apply_kraus(mat, kraus_table(ops), q, n)
+                    assert np.max(np.abs(out - direct)) <= 1e-14
 
     def test_blocks_no_operator_reaches_are_zero(self, rng):
         # |0><1| alone reaches only the |0><0| block; a zero operator reaches none
@@ -128,16 +154,17 @@ class TestApplyKraus:
         mat = random_density_matrix(rng, 3)
         for q in range(3):
             lifted = embed(lower, [q], 3)
-            out = apply_kraus(mat, [lower, np.zeros((2, 2))], q, 3)
+            out = apply_kraus(mat, kraus_table([lower, np.zeros((2, 2))]), q, 3)
             assert np.array_equal(out, lifted @ mat @ lifted.conj().T)
-            assert np.array_equal(apply_kraus(mat, [np.zeros((2, 2))], q, 3), np.zeros_like(mat))
+            zero = apply_kraus(mat, kraus_table([np.zeros((2, 2))]), q, 3)
+            assert np.array_equal(zero, np.zeros_like(mat))
 
     def test_rejects_bad_args(self, rng):
         mat = random_density_matrix(rng, 2)
         with pytest.raises(ValueError):
-            apply_kraus(mat, [np.eye(4)], 0, 2)
+            apply_kraus(mat, kraus_table([np.eye(4)]), 0, 2)
         with pytest.raises(ValueError):
-            apply_kraus(mat, [X], 2, 2)
+            apply_kraus(mat, kraus_table([X]), 2, 2)
 
 
 def _some_entries(rng, n) -> np.ndarray:
@@ -146,10 +173,16 @@ def _some_entries(rng, n) -> np.ndarray:
     return np.sort(rng.choice(d, size=max(1, d // 10), replace=False))
 
 
+def _dense(mat, ops, qubit, n):
+    """``apply_kraus`` of the Kraus operators ``ops``, flattened in C order."""
+    return apply_kraus(mat, kraus_table(ops), qubit, n).reshape(-1)
+
+
 def _kraus_at(mat, ops, qubit, n, flat):
     """``apply_kraus_at`` at ``flat`` on the dense ``mat``, grouped by ``block_grouping``."""
+    table = kraus_table(ops)
     order, bounds = block_grouping(flat, qubit, n)
-    return apply_kraus_at(FlippedEntries(mat, flat[order], qubit, n), ops, (order, bounds))
+    return apply_kraus_at(FlippedEntries(mat, flat[order], qubit, n), table, (order, bounds))
 
 
 class TestApplyKrausAt:
@@ -163,7 +196,7 @@ class TestApplyKrausAt:
                 for family in BUILTIN_CHANNELS.values():
                     for p in (0.0, 0.37, 1.0):
                         ops = family(p).operators
-                        dense = apply_kraus(mat, ops, q, n).reshape(-1)[flat]
+                        dense = _dense(mat, ops, q, n)[flat]
                         assert np.array_equal(_kraus_at(mat, ops, q, n, flat), dense)
 
     def test_random_channels_are_bitwise_the_dense_sum(self, rng):
@@ -174,7 +207,7 @@ class TestApplyKrausAt:
             for q in range(n):
                 for count in (1, 2, 3, 4):
                     ops = random_channel(rng.normal(size=8 * count)).operators
-                    dense = apply_kraus(mat, ops, q, n).reshape(-1)[flat]
+                    dense = _dense(mat, ops, q, n)[flat]
                     assert np.array_equal(_kraus_at(mat, ops, q, n, flat), dense)
 
     def test_diagonal_channels_read_the_entries_alone(self, rng):
@@ -186,8 +219,9 @@ class TestApplyKrausAt:
                 order, bounds = block_grouping(flat, q, n)
                 entries = {(0, 0): mat.reshape(-1)[flat[order]]}
                 for ops in _diagonal_operator_sets(rng):
-                    dense = apply_kraus(mat, ops, q, n).reshape(-1)[flat]
-                    assert np.array_equal(apply_kraus_at(entries, ops, (order, bounds)), dense)
+                    dense = _dense(mat, ops, q, n)[flat]
+                    at = apply_kraus_at(entries, kraus_table(ops), (order, bounds))
+                    assert np.array_equal(at, dense)
 
     def test_grouping_sorts_the_entries_by_block(self, rng):
         n = 3
@@ -206,7 +240,7 @@ class TestApplyKrausAt:
         mat = random_density_matrix(rng, 3)
         ops = BUILTIN_CHANNELS["ampdamp"](0.4).operators
         flat = rng.permutation(64)[:40]
-        dense = apply_kraus(mat, ops, 1, 3).reshape(-1)
+        dense = _dense(mat, ops, 1, 3)
         assert np.array_equal(_kraus_at(mat, ops, 1, 3, flat), dense[flat])
         assert _kraus_at(mat, ops, 1, 3, flat[:0]).shape == (0,)
 
@@ -215,7 +249,7 @@ class TestApplyKrausAt:
         mat = random_density_matrix(rng, 3)
         flat = np.arange(64)
         for q in range(3):
-            dense = apply_kraus(mat, [lower, np.zeros((2, 2))], q, 3).reshape(-1)
+            dense = _dense(mat, [lower, np.zeros((2, 2))], q, 3)
             assert np.array_equal(_kraus_at(mat, [lower, np.zeros((2, 2))], q, 3, flat), dense)
 
     def test_rejects_bad_args(self, rng):
@@ -326,7 +360,7 @@ class TestSignClasses:
             channels += [random_channel(rng.normal(size=8 * count)) for count in (1, 2, 3, 4)]
             for channel in channels:
                 per_entry = _kraus_at(clean, channel.operators, q, n, flat)
-                by_class = apply_kraus_at(sources, channel.operators, grouping)[expand]
+                by_class = apply_kraus_at(sources, channel.table, grouping)[expand]
                 assert by_class.tobytes() == per_entry.tobytes()
 
     def test_zero_signs_of_the_imaginary_parts_are_kept(self, rng):
@@ -341,7 +375,7 @@ class TestSignClasses:
             for family in BUILTIN_CHANNELS.values():
                 for p in (0.0, 0.3, 1.0):
                     ops = family(p).operators
-                    by_class = apply_kraus_at(sources, ops, grouping)[expand]
+                    by_class = apply_kraus_at(sources, kraus_table(ops), grouping)[expand]
                     assert by_class.tobytes() == _kraus_at(mat, ops, q, n, flat).tobytes()
 
     def test_a_state_with_other_entries_is_refused(self, rng):

@@ -207,6 +207,29 @@ class TestSupportEvaluation:
         assert not flat.flags.writeable and not values.flags.writeable
 
 
+def test_a_channel_builds_its_table_once_for_both_kernels(registry, rng, monkeypatch):
+    from clusterfid import channels
+
+    entries = rng.normal(size=16)   # not diagonal: the lower qubit runs dense
+    labels = registry.pattern_for(HADAMARD).labels[:2]
+    expected = _dense_trace(registry, HADAMARD, dict.fromkeys(labels, random_channel(entries)))
+    channel = random_channel(entries)   # the same map, its table not built yet
+    assignment = dict.fromkeys(labels, channel)
+    built, read = [], []
+    build = channels.kraus_table
+    monkeypatch.setattr(channels, "kraus_table", lambda ops: built.append(1) or build(ops))
+    dense, at = channels.apply_kraus, fidelity.apply_kraus_at
+    monkeypatch.setattr(channels, "apply_kraus",
+                        lambda mat, table, q, n: read.append(table) or dense(mat, table, q, n))
+    monkeypatch.setattr(fidelity, "apply_kraus_at",
+                        lambda src, table, grouping: read.append(table) or at(src, table, grouping))
+    for _ in range(2):
+        assert fidelity_formula(HADAMARD, assignment, registry).raw_value == expected
+    # each call runs the lower qubit on the whole state and the upper one at the support
+    assert built == [1]
+    assert len(read) == 4 and all(table is channel.table for table in read)
+
+
 DIAGONAL = ("dephasing", "phasedamp")
 MIXING = ("bitflip", "ampdamp")
 

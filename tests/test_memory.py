@@ -6,7 +6,8 @@ cluster state and the witness support with its sum plan (under a seventh of
 a state) per gate, and the support's grouping by each noisy qubit's block
 and, from the qubit's second call on the pristine state, its classes there
 (a few hundredths of a state apiece), for the latest angle only, and no
-dense witness and no noisy state; a witness build should hold the product
+dense witness and no noisy state; the built-in channel families should keep
+at most ``SHARED_CHANNELS`` channels alive, however many rates they are asked for; a witness build should hold the product
 and one gathered copy; a formula call that runs no channel on the whole
 state (every channel diagonal but perhaps the lowest) should make no
 state-sized array, and one with a non-diagonal channel on every qubit should
@@ -16,10 +17,17 @@ to the whole state; the oracle should walk one copy of the state.
 
 import gc
 import tracemalloc
+import weakref
 
 import pytest
 
-from clusterfid.channels import amplitude_damping, dephasing, phase_damping
+from clusterfid.channels import (
+    BUILTIN_CHANNELS,
+    SHARED_CHANNELS,
+    amplitude_damping,
+    dephasing,
+    phase_damping,
+)
 from clusterfid.fidelity import fidelity_formula, mbqc_oracle
 from clusterfid.patterns import CONTROLLED_Z, HADAMARD, IDENTITY, load_registry, z_rotation
 
@@ -188,3 +196,10 @@ def test_cold_formula_keeps_one_grouping_per_noisy_qubit(gate):
     assignment = _diagonal_on_every_qubit(registry, gate)
     held, _ = traced(lambda: fidelity_formula(gate, assignment, registry))
     assert held / state_bytes(registry, gate) <= 1.4
+
+
+def test_builtin_channels_over_many_rates_stay_bounded():
+    families = list(BUILTIN_CHANNELS.values())
+    alive = [weakref.ref(families[k % 4](k / 9999)) for k in range(10_000)]
+    gc.collect()
+    assert sum(ref() is not None for ref in alive) <= SHARED_CHANNELS

@@ -1,4 +1,4 @@
-"""Print three sha256 digests that pin the package's output bit for bit.
+"""Print four sha256 digests that pin the package's output bit for bit.
 
 Run from the root of a checkout (the package is imported from its ``src/``):
 
@@ -8,11 +8,15 @@ Run from the root of a checkout (the package is imported from its ``src/``):
   of every oracle branch probability, for every qubit x 4 built-in channels
   x p in {0.1, 0.3, 0.5, 1.0} on identity, Hadamard, zrot (theta = pi/4 and
   1.1) and cz, then for 100 multi-qubit assignments drawn from ``SEED``.
+- ``custom``:  the same fields for ``CUSTOM_ASSIGNMENTS`` assignments of 1-3
+  qubits, each qubit under its own random CPTP channel of 1-4 Kraus
+  operators, drawn from ``SEED``: the general-Kraus path, which the
+  built-in channels do not reach.
 - ``witness``: the bytes of each of those gates' witness matrix.
 - ``demos``:   the stdout of every script under ``demos/``.
 
-Two checkouts that print the same three lines compute the same numbers,
-witnesses and demo output. It takes about 22 s on a 2-core machine.
+Two checkouts that print the same four lines compute the same numbers,
+witnesses and demo output. It takes about 25 s on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from clusterfid import (  # noqa: E402
     CONTROLLED_Z,
     HADAMARD,
     IDENTITY,
+    KrausChannel,
     fidelity_formula,
     load_registry,
     mbqc_oracle,
@@ -43,6 +48,7 @@ from clusterfid import (  # noqa: E402
 GATES = [IDENTITY, HADAMARD, z_rotation(math.pi / 4), z_rotation(1.1), CONTROLLED_Z]
 RATES = (0.1, 0.3, 0.5, 1.0)
 SEEDED_ASSIGNMENTS = 100
+CUSTOM_ASSIGNMENTS = 60
 SEED = 1
 
 
@@ -65,9 +71,26 @@ def assignments(registry):
         }
 
 
-def values_digest(registry) -> str:
+def random_channel(rng) -> KrausChannel:
+    """A CPTP map of 1-4 Kraus operators: the 2x2 blocks of the Q of a random 2k x 2 matrix."""
+    count = int(rng.integers(1, 5))
+    q, _ = np.linalg.qr(rng.normal(size=(2 * count, 2)) + 1j * rng.normal(size=(2 * count, 2)))
+    return KrausChannel("custom", 0.0, tuple(q[i:i + 2] for i in range(0, 2 * count, 2)))
+
+
+def custom_assignments(registry):
+    """``(gate, assignment)``: the seeded assignments of random CPTP channels."""
+    rng = np.random.default_rng(SEED)
+    for _ in range(CUSTOM_ASSIGNMENTS):
+        gate = GATES[int(rng.integers(len(GATES)))]
+        labels = registry.pattern_for(gate).labels
+        chosen = rng.choice(labels, size=int(rng.integers(1, 4)), replace=False)
+        yield gate, {str(lab): random_channel(rng) for lab in chosen}
+
+
+def values_digest(registry, cases) -> str:
     h = hashlib.sha256()
-    for gate, assignment in assignments(registry):
+    for gate, assignment in cases:
         # each evaluator applies the channels itself, so the order of the
         # two calls does not matter
         oracle = mbqc_oracle(gate, assignment, registry)
@@ -101,7 +124,8 @@ def demos_digest() -> str:
 
 def main() -> None:
     registry = load_registry()
-    print(f"values  {values_digest(registry)}")
+    print(f"values  {values_digest(registry, assignments(registry))}")
+    print(f"custom  {values_digest(registry, custom_assignments(registry))}")
     print(f"witness {witness_digest(registry)}")
     print(f"demos   {demos_digest()}")
 
