@@ -140,7 +140,7 @@ def kraus_table(operators: Sequence[np.ndarray]) -> tuple:
 
 
 def apply_kraus(mat: np.ndarray, table: tuple, qubit: int, num_qubits: int) -> np.ndarray:
-    """Return ``sum_K K rho K^dag`` for the ``kraus_table`` of 2x2 Kraus operators K on ``qubit``.
+    """Return ``sum_K K rho K^dag`` on ``qubit``, from the ``kraus_table`` of 2x2 operators K.
 
     Works on the qubit's own tensor axes, without permuting: ``mat`` is
     viewed as ``rho[hi, a, mid, b, lo]``, with ``a``/``b`` the qubit's row

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,14 @@ class TestKrausTable:
             (((0, 0), 0.8, 0.8),),                   # block (1, 1)
         )
         assert kraus_table([np.zeros((2, 2))]) == ((), (), (), ())
+
+    def test_terms_run_over_the_operators_then_the_source_block(self, rng):
+        # the order the dense sum adds them in: K, then a, then b
+        ops = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        pairs = list(itertools.product((0, 1), repeat=2))
+        for (c, e), terms in zip(pairs, kraus_table(ops)):
+            assert terms == tuple(((a ^ c, b ^ e), k[c, a], np.conj(k[e, b]))
+                                  for k in ops for a, b in pairs)
 
     def test_the_column_factor_is_conjugated(self):
         table = kraus_table([np.array([[0, 1j], [1, 0]])])

@@ -7,12 +7,13 @@ a state) per gate, and the support's grouping by each noisy qubit's block
 and, from the qubit's second call on the pristine state, its classes there
 (a few hundredths of a state apiece), for the latest angle only, and no
 dense witness and no noisy state; the built-in channel families should keep
-at most ``SHARED_CHANNELS`` channels alive, however many rates they are asked for; a witness build should hold the product
-and one gathered copy; a formula call that runs no channel on the whole
-state (every channel diagonal but perhaps the lowest) should make no
-state-sized array, and one with a non-diagonal channel on every qubit should
-peak near three states, while it applies the channels below the highest one
-to the whole state; the oracle should walk one copy of the state.
+at most ``SHARED_CHANNELS`` channels alive, however many rates they are
+asked for; a witness build should hold the product and one gathered copy;
+a formula call that runs no channel on the whole state (every channel
+diagonal but perhaps the lowest) should make no state-sized array, and one
+with a non-diagonal channel on every qubit should peak near three states,
+while it applies the channels below the highest one to the whole state; the
+oracle should walk one copy of the state.
 """
 
 import gc
