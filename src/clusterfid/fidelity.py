@@ -207,7 +207,7 @@ def _walk_branches(pattern: MeasurementPattern, theta: float, rho: np.ndarray):
 def _branch_correction(pattern: MeasurementPattern, outcomes: dict) -> np.ndarray:
     """The byproduct Pauli on the kept qubits; each rule that fires multiplies from the left."""
     kept = pattern.kept_labels
-    corr = PauliString.identity(len(kept))
+    corr = PauliString(len(kept))
     for rule in pattern.byproducts:
         if sum(outcomes[src] for src in rule.sources) % 2:
             corr = PauliString.single(len(kept), kept.index(rule.target), rule.pauli) * corr

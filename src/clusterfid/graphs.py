@@ -6,9 +6,11 @@ prepared by the circuit ``prod_{(i,j) in E} CZ_ij |+>^n`` or, equivalently,
 as the normalized projector product ``prod_i (I + K_i)/2``; both
 constructors are provided so they can cross-check each other.
 
-A Pauli string is a signed permutation (Aaronson & Gottesman, PRA 70, 052328
-(2004)): ``PauliString.columns`` gives it, so its matrix is one scatter and
-a product with ``(1 + P)/2`` one row gather, with no Kronecker chain or GEMM.
+A Pauli string is an X mask, a Z mask and an exponent of i (Dehaene & De
+Moor, PRA 68, 042318 (2003)); a product XORs the masks and adds 2 to the
+exponent per qubit where the left Z meets the right X. As a signed permutation
+(Aaronson & Gottesman, PRA 70, 052328 (2004)), its matrix is one scatter and a
+product with ``(1 + P)/2`` one row gather. Letters are only parsed and printed.
 """
 
 from __future__ import annotations
@@ -19,15 +21,9 @@ import numpy as np
 
 from .engine import MAX_QUBITS, CapacityError, read_only
 
-# single-site products: (left, right) -> (phase, letter)
-_PAULI_MUL = {
-    ("X", "Y"): (1j, "Z"),
-    ("Y", "Z"): (1j, "X"),
-    ("Z", "X"): (1j, "Y"),
-    ("Y", "X"): (-1j, "Z"),
-    ("Z", "Y"): (-1j, "X"),
-    ("X", "Z"): (-1j, "Y"),
-}
+#: i**k for k = 0..3: the phase in front of a word's letters, and the unit of a column.
+_PHASES = (1 + 0j, 1j, -1 + 0j, 0 - 1j)
+_UNITS = read_only(np.array(_PHASES))
 
 
 @dataclass(frozen=True)
@@ -56,72 +52,70 @@ class Graph:
     def neighbors(self, i: int) -> set[int]:
         if not (0 <= i < self.num_vertices):
             raise ValueError(f"vertex {i} out of range")
-        out = set()
-        for a, b in self.edges:
-            if a == i:
-                out.add(b)
-            elif b == i:
-                out.add(a)
-        return out
+        return {b if a == i else a for a, b in self.edges if i in (a, b)}
 
 
 @dataclass(frozen=True)
 class PauliString:
-    """A phased Pauli word, e.g. ``+1 * Z0 X1 Z2`` stored as letters 'ZXZ'."""
+    """The Pauli word ``i**power X^x Z^z``; ``x`` and ``z`` are bit masks, qubit 0 the top bit.
 
-    letters: str
-    phase: complex = 1 + 0j
+    A Y is ``i X Z``, so ``phase``, the fourth root of unity in front of the
+    ``letters``, is ``i**(power - #Y)``.
+    """
+
+    num_qubits: int
+    x: int = 0
+    z: int = 0
+    power: int = 0
 
     def __post_init__(self):
-        if any(c not in "IXYZ" for c in self.letters):
-            raise ValueError(f"bad Pauli letters {self.letters!r}")
-        if self.phase not in (1, -1, 1j, -1j):
-            raise ValueError(f"phase must be a fourth root of unity, got {self.phase}")
-
-    @property
-    def num_qubits(self) -> int:
-        return len(self.letters)
+        if not (0 <= self.x | self.z < 2**self.num_qubits and 0 <= self.power < 4):
+            raise ValueError(f"bad Pauli string {self!r}")
 
     @staticmethod
-    def identity(num_qubits: int) -> "PauliString":
-        return PauliString("I" * num_qubits)
+    def from_letters(letters: str, phase: complex = 1) -> "PauliString":
+        """Parse e.g. ``'ZXZ'``, qubit 0 first, behind ``phase``, one of 1, i, -1, -i."""
+        if any(c not in "IXYZ" for c in letters) or phase not in _PHASES:
+            raise ValueError(f"bad Pauli letters {letters!r} or phase {phase}")
+        x = int("0" + letters.translate(str.maketrans("IXYZ", "0110")), 2)
+        z = int("0" + letters.translate(str.maketrans("IXYZ", "0011")), 2)
+        power = _PHASES.index(phase) + letters.count("Y")
+        return PauliString(len(letters), x, z, power & 3)
 
     @staticmethod
     def single(num_qubits: int, qubit: int, letter: str) -> "PauliString":
-        letters = ["I"] * num_qubits
-        letters[qubit] = letter
-        return PauliString("".join(letters))
+        if not 0 <= qubit < num_qubits:
+            raise ValueError(f"qubit {qubit} outside 0..{num_qubits - 1}")
+        return PauliString.from_letters("I" * qubit + letter + "I" * (num_qubits - qubit - 1))
+
+    @property
+    def letters(self) -> str:
+        bits = range(self.num_qubits - 1, -1, -1)   # qubit 0 is the top bit
+        return "".join("IXZY"[(self.x >> b & 1) + 2 * (self.z >> b & 1)] for b in bits)
+
+    @property
+    def phase(self) -> complex:
+        return _PHASES[(self.power - (self.x & self.z).bit_count()) & 3]
 
     def __mul__(self, other: "PauliString") -> "PauliString":
+        """``X^a Z^b X^c Z^d = (-1)^|b & c| X^(a^c) Z^(b^d)``: each Z passed over an X negates."""
         if self.num_qubits != other.num_qubits:
             raise ValueError("length mismatch in Pauli product")
-        phase = self.phase * other.phase
-        letters = []
-        for a, b in zip(self.letters, other.letters):
-            if a == "I":
-                letters.append(b)
-            elif b == "I" or a == b:
-                letters.append("I" if a == b else a)
-            else:
-                ph, c = _PAULI_MUL[(a, b)]
-                phase *= ph
-                letters.append(c)
-        return PauliString("".join(letters), phase)
+        power = self.power + other.power + 2 * (self.z & other.x).bit_count()
+        return PauliString(self.num_qubits, self.x ^ other.x, self.z ^ other.z, power & 3)
 
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, values)``: column c of the matrix holds ``values[c]`` at row ``rows[c]``.
+        """``(rows, values)``: column c holds ``values[c]`` at row ``rows[c] = c ^ x``.
 
-        X and Y flip their qubit's bit of c; Z and Y negate the column when it is set.
+        ``values[c]`` is ``i**power``, negated where ``c & z`` has odd parity, read off a
+        table, so no product of complex numbers sets the sign of a zero.
         """
         cols = np.arange(2**self.num_qubits)
-        rows, parity = cols.copy(), np.zeros_like(cols)
-        for q, c in enumerate(reversed(self.letters)):  # qubit 0 is the top bit
-            if c in "XY":
-                rows ^= 1 << q
-            if c in "ZY":
-                parity ^= (cols >> q) & 1
-        unit = self.phase * 1j ** self.letters.count("Y")
-        return rows, np.where(parity, -unit, unit)
+        parity, shift = cols & self.z, 1
+        while shift < self.num_qubits:  # fold: bit 0 becomes the parity of the word
+            parity ^= parity >> shift
+            shift *= 2
+        return cols ^ self.x, _UNITS[(self.power + 2 * (parity & 1)) & 3]
 
     def matrix(self) -> np.ndarray:
         rows, values = self.columns()
@@ -149,13 +143,9 @@ class PauliString:
 
 def stabilizer(g: Graph, i: int) -> PauliString:
     """Cluster stabilizer of vertex i: X on i, Z on every neighbor."""
-    if not (0 <= i < g.num_vertices):
-        raise ValueError(f"vertex {i} out of range")
-    letters = ["I"] * g.num_vertices
-    letters[i] = "X"
-    for j in g.neighbors(i):
-        letters[j] = "Z"
-    return PauliString("".join(letters))
+    n = g.num_vertices
+    z = sum(1 << (n - 1 - j) for j in g.neighbors(i))   # refuses a vertex out of range
+    return PauliString(n, 1 << (n - 1 - i), z)
 
 
 def build_cluster_state(g: Graph) -> np.ndarray:
@@ -183,5 +173,4 @@ def cluster_state_projector_product(g: Graph) -> np.ndarray:
     m = np.eye(2**n, dtype=complex)
     for i in reversed(range(n)):
         m = stabilizer(g, i).project(m)
-    tr = np.trace(m).real
-    return read_only(m / tr)
+    return read_only(m / np.trace(m).real)

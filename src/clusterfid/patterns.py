@@ -97,6 +97,10 @@ def parse_gate(name: str, theta: float = 0.0) -> GateKind:
     return GateKind(name.strip().lower(), float(theta))
 
 
+#: The read-only single-qubit X, Y and Z matrices, built once.
+_PAULI_MATRICES = {c: read_only(PauliString.from_letters(c).matrix()) for c in "XYZ"}
+
+
 @dataclass(frozen=True)
 class BasisSpec:
     """Measurement basis of one qubit: X, Y, Z, or an adaptive X-Y basis.
@@ -109,19 +113,12 @@ class BasisSpec:
     control: str | None = None
 
     def operator(self, theta: float, control_bit: int | None = None) -> np.ndarray:
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-        z = np.array([[1, 0], [0, -1]], dtype=complex)
-        if self.axis == "X":
-            return x
-        if self.axis == "Y":
-            return y
-        if self.axis == "Z":
-            return z
+        if self.axis != "adaptive":
+            return _PAULI_MATRICES[self.axis]
         if control_bit is None:
             raise ValueError("adaptive basis needs the control outcome")
         adapted = (-1) ** control_bit * theta
-        return np.cos(adapted) * x + np.sin(adapted) * y
+        return np.cos(adapted) * _PAULI_MATRICES["X"] + np.sin(adapted) * _PAULI_MATRICES["Y"]
 
 
 @dataclass(frozen=True)
@@ -344,10 +341,8 @@ class PatternRegistry:
 
     def _stabs(self, pat: MeasurementPattern, labels: tuple) -> PauliString:
         """The product of the labelled vertices' cluster stabilizers, in order."""
-        prod = PauliString.identity(pat.graph.num_vertices)
-        for lab in labels:
-            prod = prod * stabilizer(pat.graph, pat.to_index(lab))
-        return prod
+        stabs = (stabilizer(pat.graph, pat.to_index(lab)) for lab in labels)
+        return functools.reduce(PauliString.__mul__, stabs, PauliString(pat.graph.num_vertices))
 
     def _build_witness(self, gate: GateKind) -> np.ndarray:
         """The product of the factors, from the last back, each (1 + S)/2 by a row gather.
@@ -373,21 +368,15 @@ class PatternRegistry:
         """
         c, s = np.cos(theta), np.sin(theta)
         n = pat.graph.num_vertices
-        zyz = (
-            PauliString.single(n, pat.to_index("0"), "Z")
-            * PauliString.single(n, pat.to_index("1"), "Y")
-            * PauliString.single(n, pat.to_index("2"), "Z")
-        )
-        a, k135 = zyz * self._stabs(pat, ("2", "3")), self._stabs(pat, ("1", "3", "5"))
+        z0, y1, z2 = (PauliString.single(n, pat.to_index(lab), p) for lab, p in zip("012", "ZYZ"))
+        a, k135 = z0 * y1 * z2 * self._stabs(pat, ("2", "3")), self._stabs(pat, ("1", "3", "5"))
         k4, k5 = self._stabs(pat, ("4",)), self._stabs(pat, ("5",))
-        cols = np.arange(2**n)
         mat = np.eye(2**n, dtype=complex)
         terms = [(k135, c * c), (k135 * k4, s * s), (a * k5, c * s), (a * k4 * k5, -c * s)]
         for pauli, scale in terms:
             rows, values = pauli.columns()
-            mat[rows, cols] += scale * values
-        mat /= 2.0
-        return mat
+            mat[rows, np.arange(2**n)] += scale * values
+        return mat / 2.0
 
 
 # -- registry file parsing ----------------------------------------------------
@@ -397,8 +386,8 @@ _ADAPTIVE_RE = re.compile(r"^adaptive\(\s*theta\s*,\s*([^)\s]+)\s*\)$")
 #: Argument count of the keywords that take a fixed number of arguments.
 _ARITY = {"n": 1, "e": 2, "label": 2, "basis": 2, "byproduct": 3}
 
-#: Keywords that may not repeat (``basis`` and ``label`` per qubit).
-_ONCE = ("n", "inputs", "outputs", "order", "basis", "label")
+#: Keywords that may not repeat (``basis`` and ``label`` per qubit, ``byproduct`` per rule).
+_ONCE = ("n", "inputs", "outputs", "order", "basis", "label", "byproduct")
 
 
 def _int(token: str, lineno: int) -> int:
@@ -427,8 +416,8 @@ def _parse_section(name: str, lines: list) -> MeasurementPattern:
                 f"line {lineno}: {kw!r} takes {_ARITY[kw]} argument(s), got {len(args)}"
             )
         if kw in _ONCE:
-            # basis and label come once per qubit, the others once per section
-            key = kw
+            # basis and label come once per qubit, byproduct per rule, the rest per section
+            key = " ".join((kw, *args)) if kw == "byproduct" else kw
             if kw == "basis":
                 key = f"basis {args[0]}"
             elif kw == "label":
@@ -482,6 +471,8 @@ def _parse_section(name: str, lines: list) -> MeasurementPattern:
             for tok in expr.split("+"):
                 if not tok.startswith("s"):
                     raise ValueError(f"line {lineno}: bad parity term {tok!r}")
+                if tok[1:] in sources:
+                    raise ValueError(f"line {lineno}: parity names {tok} twice")
                 sources.append(tok[1:])
             byproducts.append(ByproductRule(tuple(sources), pauli, target))
         else:

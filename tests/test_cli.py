@@ -520,6 +520,8 @@ class TestHostileInputs:
         ("e 0 1\n", "e 0 1\ne 0 1\n", "repeated edge (0,1), first given on line 32"),
         ("n 7\n", "n 0\n", "'n' must be at least 1, got 0"),
         ("n 7\n", "n -3\n", "'n' must be at least 1, got -3"),
+        ("byproduct s0 Z 1\n", "byproduct s0+s2+s2 Z 1\n", "line 48: parity names s2 twice"),
+        ("byproduct s0 Z 1\n", "byproduct s0 Z 1\n" * 3, "line 49: repeated 'byproduct s0 Z 1' line"),
     ])
     def test_malformed_registry_line(self, line, changed, message, capsys, tmp_path):
         from importlib import resources

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusterfid.engine import CapacityError, expectation
@@ -64,22 +64,22 @@ class TestPauliString:
             stabilizer(Graph.chain(2), 2)
 
     def test_single_qubit_matrices(self):
-        assert np.allclose(PauliString("X").matrix(), [[0, 1], [1, 0]])
-        assert np.allclose(PauliString("Y").matrix(), [[0, -1j], [1j, 0]])
-        assert np.allclose(PauliString("Z").matrix(), [[1, 0], [0, -1]])
+        assert np.allclose(PauliString.from_letters("X").matrix(), [[0, 1], [1, 0]])
+        assert np.allclose(PauliString.from_letters("Y").matrix(), [[0, -1j], [1j, 0]])
+        assert np.allclose(PauliString.from_letters("Z").matrix(), [[1, 0], [0, -1]])
 
     def test_identity_matrix(self):
-        assert np.allclose(PauliString("III").matrix(), np.eye(8))
+        assert np.allclose(PauliString.from_letters("III").matrix(), np.eye(8))
 
     @pytest.mark.parametrize("letters", ["XZ", "ZXZ", "YIY"])
     def test_involution(self, letters):
-        m = PauliString(letters).matrix()
+        m = PauliString.from_letters(letters).matrix()
         assert np.allclose(m @ m, np.eye(m.shape[0]))
 
     def test_phase_tracking(self):
-        x = PauliString("X")
-        y = PauliString("Y")
-        z = PauliString("Z")
+        x = PauliString.from_letters("X")
+        y = PauliString.from_letters("Y")
+        z = PauliString.from_letters("Z")
         assert (x * y).letters == "Z" and (x * y).phase == 1j
         assert (y * x).phase == -1j
         assert (z * x).letters == "Y" and (z * x).phase == 1j
@@ -89,9 +89,14 @@ class TestPauliString:
         # oracle: dense matrix multiplication
         letters = "IXYZ"
         for _ in range(10):
-            a = PauliString("".join(rng.choice(list(letters), size=3)))
-            b = PauliString("".join(rng.choice(list(letters), size=3)))
+            a = PauliString.from_letters("".join(rng.choice(list(letters), size=3)))
+            b = PauliString.from_letters("".join(rng.choice(list(letters), size=3)))
             assert np.allclose((a * b).matrix(), a.matrix() @ b.matrix())
+
+    @pytest.mark.parametrize("qubit", [-1, 5])
+    def test_single_refuses_a_qubit_out_of_range(self, qubit):
+        with pytest.raises(ValueError, match=r"qubit -?\d outside 0\.\.2"):
+            PauliString.single(3, qubit, "X")
 
 
 #: Test-local single-qubit Paulis for the Kronecker-chain reference.
@@ -113,7 +118,9 @@ def _kron_chain(p: PauliString) -> np.ndarray:
 
 
 def _random_word(rng, n) -> PauliString:
-    return PauliString("".join(rng.choice(list("IXYZ"), size=n)), PHASES[rng.integers(4)])
+    return PauliString.from_letters(
+        "".join(rng.choice(list("IXYZ"), size=n)), PHASES[rng.integers(4)]
+    )
 
 
 class TestSignedPermutation:
@@ -121,7 +128,7 @@ class TestSignedPermutation:
     def test_matrix_is_the_kron_chain_for_every_short_word(self, phase):
         for n in range(4):
             for letters in itertools.product("IXYZ", repeat=n):
-                p = PauliString("".join(letters), phase)
+                p = PauliString.from_letters("".join(letters), phase)
                 assert np.array_equal(p.matrix(), _kron_chain(p)), p
 
     def test_matrix_is_the_kron_chain_for_random_long_words(self, rng):
@@ -144,6 +151,37 @@ class TestSignedPermutation:
                 mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
                 dense = (np.eye(d, dtype=complex) + _kron_chain(p)) / 2.0
                 assert np.array_equal(p.project(mat), dense @ mat), p
+
+
+@st.composite
+def _word_tuples(draw, size):
+    """``size`` Pauli strings on one random number of qubits (0-5), at any of the four phases."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    return tuple(
+        PauliString.from_letters(draw(st.text("IXYZ", min_size=n, max_size=n)),
+                                 draw(st.sampled_from(PHASES)))
+        for _ in range(size)
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_word_tuples(2))
+def test_mask_product_is_exactly_the_dense_product(words):
+    a, b = words
+    assert np.array_equal((a * b).matrix(), a.matrix() @ b.matrix())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_word_tuples(3))
+@example(tuple(PauliString.from_letters(w, ph) for w, ph in [("IX", 1), ("YX", 1j), ("II", -1)]))
+def test_equal_strings_have_byte_identical_columns(words):
+    # the same string formed by either grouping of a product, and parsed from its own print
+    a, b, c = words
+    left = (a * b) * c
+    for other in (a * (b * c), PauliString.from_letters(left.letters, left.phase)):
+        assert other == left
+        for mine, theirs in zip(other.columns(), left.columns()):
+            assert mine.tobytes() == theirs.tobytes()
 
 
 def _all_graphs(n):

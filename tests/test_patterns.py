@@ -1,3 +1,4 @@
+import hashlib
 from importlib import resources
 
 import numpy as np
@@ -137,6 +138,18 @@ class TestWitness:
             product = product @ m
         assert np.array_equal(product, registry.witness_for(gate))
 
+    @pytest.mark.parametrize("gate, digest", [
+        (IDENTITY, "8bf2619cd6d1b70df2bdc653a622a16d52383ac3521042d2039782203a90ebf8"),
+        (HADAMARD, "fcc60956238ebb3421c22110f425c687bb71c5375e35712fc2c83f2bd0b39797"),
+        (CONTROLLED_Z, "083e3bab5cf6cee6ae10ffb78b52d6577b3d885e3ba6524e05dd638fb9e8dd1a"),
+    ], ids=str)
+    def test_witness_bytes_are_pinned(self, registry, gate, digest):
+        # every entry is an exact dyadic value, so any moved bit, including
+        # the sign of a zero, is a change; zrot's bytes depend on libm's cos
+        # and sin, so tools/exactness_digest.py pins them instead
+        data = np.ascontiguousarray(registry.witness_for(gate)).tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
     @pytest.mark.parametrize("gate", ALL_GATES, ids=str)
     def test_witness_is_column_major(self, registry, gate):
         # expectation sums rho * W^T, so W^T is read in memory order
@@ -231,6 +244,10 @@ byproduct s3+s6 Z 5
     @pytest.mark.parametrize("line, changed, message", [
         ("byproduct s2+s4 X 5", "byproduct s2+s4 X 9", "byproduct targets unknown qubit 9"),
         ("byproduct s0 Z 1", "basis 1 X", "basis given for unmeasured qubit 1"),
+        # a source named twice, or a rule given twice, cancels out of the parity
+        ("byproduct s0 Z 1", "byproduct s0+s2+s2 Z 1", "line 48: parity names s2 twice"),
+        ("byproduct s0 Z 1", "byproduct s0 Z 1\nbyproduct s0  Z 1",
+         "line 49: repeated 'byproduct s0 Z 1' line"),
     ])
     def test_bundled_registry_with_one_bad_line_rejected(self, line, changed, message):
         text = resources.files("clusterfid").joinpath("data/patterns.txt").read_text()
