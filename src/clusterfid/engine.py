@@ -101,7 +101,9 @@ def conjugate_on_qubit(
     on axis 0 and about 7 ms on axis 6 (2-core VM, OpenBLAS), so a caller
     that can choose the axis should use the leading ones. The branch
     oracle, its one caller, projects on a copy with the measured qubits
-    leading. Channel sums go through ``apply_kraus`` instead.
+    leading in measurement order and traces each qubit out once it is
+    projected, so its projections land on axis 0 or just behind the
+    adaptive axes it keeps. Channel sums go through ``apply_kraus`` instead.
     """
     op = _as_matrix(op)
     if op.shape != (2, 2):

@@ -4,13 +4,16 @@
 noisy cluster state. ``mbqc_oracle`` knows nothing about witnesses: it
 walks the tree of measurement outcomes depth first in measurement order,
 projecting the noisy state once per outcome prefix (the outcome-adapted
-basis reads its control outcome off the path), reduces each branch to the
-kept qubits, applies the byproduct corrections, and averages Tr(sigma_m sigma)
-under the noisy branch probabilities against one ideal output sigma: the
-byproducts make every branch realize the same gate, so a wrong byproduct
-table lowers the value. The two must agree; ``cross_validate`` reports the
-worst difference. Both return a ``FidelityResult``; the oracle's also holds
-the probability of each branch it weighed (``branch_probabilities``).
+basis reads its control outcome off the path) and tracing each X-, Y- or
+Z-measured qubit out as soon as it is projected, so each level holds a
+quarter of the state above it. It reduces each branch to the kept qubits
+bit for bit as a trace at the leaf would, applies the byproduct
+corrections, and averages Tr(sigma_m sigma) under the noisy branch
+probabilities against one ideal output sigma: the byproducts make every
+branch realize the same gate, so a wrong byproduct table lowers the value.
+The two must agree; ``cross_validate`` reports the worst difference. Both
+return a ``FidelityResult``; the oracle's also holds the probability of
+each branch it weighed (``branch_probabilities``).
 
 The two evaluators share the engine, the registry and ``apply_assignment``,
 but no intermediate: each applies the channels to the registry's pristine
@@ -165,41 +168,66 @@ def _walk_branches(pattern: MeasurementPattern, theta: float, rho: np.ndarray):
     Walks ``measure_order`` depth first, so the vectors come in
     ``itertools.product`` order and each prefix of outcomes is projected
     once, for every branch that extends it. The reduced branch is the
-    unnormalized state of the kept qubits.
+    unnormalized state of the kept qubits, bitwise the one that projecting
+    on the state's own axes and then tracing the measured qubits out
+    highest index first gives.
 
     The walk runs on a copy of the state whose qubit axes are permuted so
-    the measured qubits lead, in descending index, followed by the kept
-    qubits in ascending order: ``conjugate_on_qubit`` is cheapest on the
-    leading axes, and tracing out the leading axes lowest first takes the
-    measured qubits highest index first. The permutation only moves
-    entries, so every branch is bitwise the one the original layout gives.
+    the measured qubits lead in measurement order, followed by the kept
+    qubits in ascending order; the permutation only moves entries. Each
+    qubit is projected with ``conjugate_on_qubit``, which is cheapest on
+    the leading axes. A qubit measured in X, Y or Z is then traced out at
+    once, by adding its two diagonal blocks, so the state shrinks 4x per
+    level. That changes no bit: the projector leaves the qubit in a
+    product state with the rest, so the two blocks are bitwise equal or
+    one is zero, and their sum is an exact doubling or an added zero, which
+    commutes with every later projection and addition. An adaptive
+    qubit's blocks differ in their last bits, so its axis stays to the
+    leaf, where ``partial_trace_raw`` traces the adaptive axes lowest axis
+    first. Their slots in the layout are filled highest index first, so
+    the leaf adds them in the order the trace on the state's own axes does.
     """
     order = pattern.measure_order
-    k = len(order)
-    measured = sorted((pattern.to_index(lab) for lab in order), reverse=True)
+    adaptive = [i for i, lab in enumerate(order) if pattern.bases[lab].axis == "adaptive"]
+    measured = [pattern.to_index(lab) for lab in order]
+    for slot, q in zip(adaptive, sorted((measured[i] for i in adaptive), reverse=True)):
+        measured[slot] = q
     # axis i of the walked copy holds qubit layout[i]
     layout = measured + [pattern.to_index(lab) for lab in pattern.kept_labels]
-    axis_of = {label: measured.index(pattern.to_index(label)) for label in order}
-    n = pattern.graph.num_vertices
+    axes = list(layout)   # the qubits left on the axes, level by level
+    levels = []           # per level: the projected axis, the qubit count, traced out or not
+    for label in order:
+        qubit, traced = pattern.to_index(label), pattern.bases[label].axis != "adaptive"
+        levels.append((axes.index(qubit), len(axes), traced))
+        if traced:
+            axes.remove(qubit)
+    leaf_n = len(axes)
     eye2 = np.eye(2, dtype=complex)
 
+    def trace_axis(mat, axis):   # the sum of the axis's two diagonal blocks
+        half = mat.shape[0] // 2
+        blocks = mat.reshape(2**axis, 2, half >> axis, 2**axis, 2, half >> axis)
+        return (blocks[:, 0, :, :, 0] + blocks[:, 1, :, :, 1]).reshape(half, half)
+
     def walk(mat, outcomes):
-        if len(outcomes) == k:
-            reduced = partial_trace_raw(mat, range(k, n), n)
-            del mat  # hold no full-size leaf while the caller uses the branch
+        if len(outcomes) == len(order):
+            reduced = partial_trace_raw(mat, range(len(adaptive), leaf_n), leaf_n)
+            del mat  # hold no larger leaf while the caller uses the branch
             yield outcomes, reduced
             return
         label = order[len(outcomes)]
+        axis, n, traced = levels[len(outcomes)]
         basis = pattern.bases[label]
         ctrl_bit = outcomes[basis.control] if basis.axis == "adaptive" else None
         op = basis.operator(theta, ctrl_bit)
         for bit in (0, 1):
             proj = (eye2 + (-1) ** bit * op) / 2.0
-            yield from walk(
-                conjugate_on_qubit(mat, proj, axis_of[label], n), {**outcomes, label: bit}
-            )
+            branch = conjugate_on_qubit(mat, proj, axis, n)
+            if traced:
+                branch = trace_axis(branch, axis)
+            yield from walk(branch, {**outcomes, label: bit})
 
-    mat = permute_qubits(rho, layout, n)
+    mat = permute_qubits(rho, layout, pattern.graph.num_vertices)
     del rho  # the walk holds the permuted copy only, not the caller's state
     yield from walk(mat, {})
 

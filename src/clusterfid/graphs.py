@@ -86,6 +86,8 @@ class PauliString:
     def single(num_qubits: int, qubit: int, letter: str) -> "PauliString":
         if not 0 <= qubit < num_qubits:
             raise ValueError(f"qubit {qubit} outside 0..{num_qubits - 1}")
+        if letter not in ("I", "X", "Y", "Z"):
+            raise ValueError(f"bad Pauli letter {letter!r}")
         return PauliString.from_letters("I" * qubit + letter + "I" * (num_qubits - qubit - 1))
 
     @property

@@ -625,6 +625,37 @@ def test_walk_matches_unpermuted_reference_bitwise(registry, rng, gate):
             assert np.array_equal(reduced, ref_reduced)
 
 
+@pytest.mark.parametrize("theta", [0.3, math.pi / 4, 1.1, 2.9])
+def test_walk_with_a_y_basis_and_two_adaptive_qubits_is_bitwise_the_reference(
+    registry, rng, theta
+):
+    # no bundled pattern measures in Y or has two adaptive qubits: the Y
+    # qubit is traced out at once by an exact doubling, and the two
+    # adaptive qubits keep their axes to the leaf, traced highest index first
+    labels = tuple(str(i) for i in range(7))
+    order = ("0", "2", "3", "4", "6")
+    bases = (BasisSpec("Z"), BasisSpec("Y"), BasisSpec("adaptive", "2"),
+             BasisSpec("adaptive", "3"), BasisSpec("Z"))
+    pattern = MeasurementPattern(
+        name="zrot", graph=Graph.chain(7), labels=labels, input_labels=("1",),
+        output_labels=("5",), measure_order=order, bases=dict(zip(order, bases)),
+    )
+    clean = registry.cluster_state(IDENTITY)   # the 7-qubit chain
+    families = list(BUILTIN_CHANNELS.values())
+    assignment = {
+        str(lab): families[int(rng.integers(len(families)))](float(rng.uniform(0.05, 0.9)))
+        for lab in rng.choice(labels, size=3, replace=False)
+    }
+    noisy = apply_assignment(clean, resolve_assignment(pattern, assignment))
+    for rho in (clean, noisy):
+        walked = list(fidelity._walk_branches(pattern, theta, rho))
+        reference = list(_unpermuted_walk(pattern, theta, rho))
+        assert len(walked) == len(reference) == 2 ** len(order)
+        for (outcomes, reduced), (ref_outcomes, ref_reduced) in zip(walked, reference):
+            assert outcomes == ref_outcomes
+            assert np.array_equal(reduced, ref_reduced)
+
+
 @pytest.mark.parametrize("gate", ALL_GATES, ids=str)
 def test_branch_correction_is_the_embed_chain(registry, gate):
     # reference: each byproduct that fires lifted by `embed` and multiplied

@@ -98,6 +98,11 @@ class TestPauliString:
         with pytest.raises(ValueError, match=r"qubit -?\d outside 0\.\.2"):
             PauliString.single(3, qubit, "X")
 
+    @pytest.mark.parametrize("letter", ["XX", "", "x", "XI"])
+    def test_single_refuses_anything_but_one_letter(self, letter):
+        with pytest.raises(ValueError, match="bad Pauli letter"):
+            PauliString.single(3, 0, letter)
+
 
 #: Test-local single-qubit Paulis for the Kronecker-chain reference.
 _PAULI_2 = {

@@ -13,7 +13,8 @@ a formula call that runs no channel on the whole state (every channel
 diagonal but perhaps the lowest) should make no state-sized array, and one
 with a non-diagonal channel on every qubit should peak near three states,
 while it applies the channels below the highest one to the whole state; the
-oracle should walk one copy of the state.
+oracle should hold one permuted copy of the state and the first projection of
+it, since every level below is traced down to a quarter of the one above.
 """
 
 import gc
@@ -68,10 +69,11 @@ def test_warm_oracle_walks_one_copy_of_the_state(gate):
     assignment = {pattern.labels[0]: amplitude_damping(0.3)}
     mbqc_oracle(gate, assignment, registry)  # builds the cluster state and branch table
     _, peak = traced(lambda: mbqc_oracle(gate, assignment, registry))
-    k = len(pattern.measure_order)
-    # one full matrix per walk level on the path, the root copy and the
-    # noisy state being copied into it
-    assert peak / state_bytes(registry, gate) <= k + 2.5
+    # each measured qubit but an adaptive one is traced out as soon as it
+    # is projected, so a level holds a quarter of the one above it: the peak
+    # is the permuted copy and the two matmul outputs of the first
+    # projection, whatever the number of levels (3.27-3.31)
+    assert peak / state_bytes(registry, gate) <= 3.5
 
 
 @pytest.mark.parametrize("noisy", ["last qubit", "all qubits"])
