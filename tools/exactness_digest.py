@@ -16,7 +16,7 @@ Run from the root of a checkout (the package is imported from its ``src/``):
 - ``demos``:   the stdout of every script under ``demos/``.
 
 Two checkouts that print the same four lines compute the same numbers,
-witnesses and demo output. It takes about 7 s on a 2-core machine.
+witnesses and demo output. It takes about 6 s on a 2-core machine.
 """
 
 from __future__ import annotations
