@@ -6,7 +6,8 @@ Subcommands:
 - ``scan-immunity``  (qubit, channel) immunity table for one gate
 - ``compare``        two controlling patterns side by side, CSV output
 - ``eval``           single fidelity evaluation for one channel spec
-- ``validate``       run the registry / channel / oracle invariant suite
+- ``validate``       run the registry / channel / oracle invariant suite; each
+                     check's elapsed milliseconds go to stderr
 
 Exit codes: 0 success, 1 validation failure, 2 usage or config error,
 3 capacity error. Data files are deterministic: no timestamps, metadata
@@ -19,6 +20,7 @@ import argparse
 import functools
 import math
 import sys
+import time
 
 import numpy as np
 
@@ -280,13 +282,18 @@ def _validate_checks(registry):
 
 
 def cmd_validate(args) -> int:
+    """Print one PASS/FAIL line per check, and on stderr the milliseconds it took."""
     registry = load_registry(args.registry)
     failures = 0
+    start = time.perf_counter()
     for name, ok, detail in _validate_checks(registry):
+        elapsed_ms = (time.perf_counter() - start) * 1e3
         status = "PASS" if ok else "FAIL"
         if not ok:
             failures += 1
         print(f"{status}  {name}  ({detail})")
+        print(f"{elapsed_ms:9.1f} ms  {name}", file=sys.stderr)
+        start = time.perf_counter()
     if failures:
         print(f"{failures} check(s) failed")
         return EXIT_VALIDATION

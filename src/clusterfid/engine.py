@@ -99,11 +99,12 @@ def conjugate_on_qubit(
     of ``2**qubit`` small matmuls on the row side and ``d * 2**qubit`` on
     the column side. On a 256x256 state (n = 8) a call takes about 1.3 ms
     on axis 0 and about 7 ms on axis 6 (2-core VM, OpenBLAS), so a caller
-    that can choose the axis should use the leading ones. The branch
-    oracle, its one caller, projects on a copy with the measured qubits
-    leading in measurement order and traces each qubit out once it is
-    projected, so its projections land on axis 0 or just behind the
-    adaptive axes it keeps. Channel sums go through ``apply_kraus`` instead.
+    that can choose the axis should use the leading ones. No evaluator
+    calls it: the branch oracle forms the same 2 x 2 @ 2 x M products for
+    all branches of a level in one batched matmul each side, and channel
+    sums go through ``apply_kraus``. It is kept as the one-branch reference
+    the tests hold the walk and the channels to, and for the benchmark
+    tracer.
     """
     op = _as_matrix(op)
     if op.shape != (2, 2):

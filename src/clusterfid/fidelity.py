@@ -2,18 +2,18 @@
 
 ``fidelity_formula`` evaluates the closed-form witness expectation on the
 noisy cluster state. ``mbqc_oracle`` knows nothing about witnesses: it
-walks the tree of measurement outcomes depth first in measurement order,
-projecting the noisy state once per outcome prefix (the outcome-adapted
-basis reads its control outcome off the path) and tracing each X-, Y- or
-Z-measured qubit out as soon as it is projected, so each level holds a
-quarter of the state above it. It reduces each branch to the kept qubits
-bit for bit as a trace at the leaf would, applies the byproduct
-corrections, and averages Tr(sigma_m sigma) under the noisy branch
-probabilities against one ideal output sigma: the byproducts make every
-branch realize the same gate, so a wrong byproduct table lowers the value.
-The two must agree; ``cross_validate`` reports the worst difference. Both
-return a ``FidelityResult``; the oracle's also holds the probability of
-each branch it weighed (``branch_probabilities``).
+walks the measurement outcomes level by level in measurement order,
+projecting the stack of all branches so far on both outcomes of the next
+qubit at once (the outcome-adapted basis reads its control outcome off each
+branch) and tracing each X-, Y- or Z-measured qubit out as soon as it is
+projected, so such a level holds half the entries of the one above. It
+reduces each branch to the kept qubits bit for bit as a trace at the leaf
+would, applies the byproduct corrections, and averages Tr(sigma_m sigma)
+under the noisy branch probabilities against one ideal output sigma: the
+byproducts make every branch realize the same gate, so a wrong byproduct
+table lowers the value. The two must agree; ``cross_validate`` reports the
+worst difference. Both return a ``FidelityResult``; the oracle's also holds
+the probability of each branch it weighed (``branch_probabilities``).
 
 The two evaluators share the engine, the registry and ``apply_assignment``,
 but no intermediate: each applies the channels to the registry's pristine
@@ -39,13 +39,12 @@ from .engine import (
     BRANCH_EPS,
     FlippedEntries,
     apply_kraus_at,
-    conjugate_on_qubit,
     pairwise_sum_at,
-    partial_trace_raw,
     permute_qubits,
+    read_only,
 )
-# Unused here, but the benchmark tracer (perfbench/tracing.py) wraps this site.
-from .engine import expectation  # noqa: F401
+# Unused here, but the benchmark tracer (perfbench/tracing.py) wraps these sites.
+from .engine import conjugate_on_qubit, expectation, partial_trace_raw  # noqa: F401
 from .channels import apply_assignment
 from .graphs import PauliString
 from .patterns import GateKind, MeasurementPattern, PatternRegistry, default_registry
@@ -162,30 +161,47 @@ def fidelity_formula(
 # -- branch oracle -------------------------------------------------------------
 
 
-def _walk_branches(pattern: MeasurementPattern, theta: float, rho: np.ndarray):
-    """Yield ``(outcomes, reduced branch)`` for every outcome vector of the pattern.
+def _contract(ops: np.ndarray, stack: np.ndarray, lead: tuple) -> np.ndarray:
+    """``ops @ block`` for every ``(2, -1)`` block of ``stack`` viewed as ``lead + (2, -1)``.
 
-    Walks ``measure_order`` depth first, so the vectors come in
-    ``itertools.product`` order and each prefix of outcomes is projected
-    once, for every branch that extends it. The reduced branch is the
-    unnormalized state of the kept qubits, bitwise the one that projecting
-    on the state's own axes and then tracing the measured qubits out
-    highest index first gives.
+    One batched ``np.matmul``: with ``stack`` C-contiguous, each block is
+    the 2 x M operand ``conjugate_on_qubit`` passed to its matmul on one
+    branch, and each product with a full 2 x 2 projector is the one it formed.
+    """
+    return np.matmul(ops, stack.reshape(*lead, 2, -1))
+
+
+def _walk_branches(pattern: MeasurementPattern, theta: float, rho: np.ndarray) -> np.ndarray:
+    """The reduced branch of every outcome vector of the pattern, as one ``(2^k, d, d)`` stack.
+
+    The branches come in ``itertools.product`` order over ``measure_order``;
+    each is the unnormalized state of the kept qubits, bitwise the one that
+    projecting on the state's own axes and then tracing the measured qubits
+    out highest index first gives.
 
     The walk runs on a copy of the state whose qubit axes are permuted so
     the measured qubits lead in measurement order, followed by the kept
-    qubits in ascending order; the permutation only moves entries. Each
-    qubit is projected with ``conjugate_on_qubit``, which is cheapest on
-    the leading axes. A qubit measured in X, Y or Z is then traced out at
-    once, by adding its two diagonal blocks, so the state shrinks 4x per
-    level. That changes no bit: the projector leaves the qubit in a
-    product state with the rest, so the two blocks are bitwise equal or
-    one is zero, and their sum is an exact doubling or an added zero, which
-    commutes with every later projection and addition. An adaptive
-    qubit's blocks differ in their last bits, so its axis stays to the
-    leaf, where ``partial_trace_raw`` traces the adaptive axes lowest axis
-    first. Their slots in the layout are filled highest index first, so
-    the leaf adds them in the order the trace on the state's own axes does.
+    qubits in ascending order; the permutation only moves entries. It goes
+    level by level: the stack of the branches after the first levels is
+    projected on the next measured qubit for both outcomes at once, by one
+    row-side and one column-side ``_contract``, so each branch gets the
+    same 2 x 2 @ 2 x M products ``conjugate_on_qubit`` formed. An adaptive
+    level stacks, for each branch, the projectors its control outcome picks,
+    read off the bit of the branch index. A qubit measured in X, Y or Z is
+    traced out at once, so the stack shrinks 2x per such level: the
+    projector leaves it in a product state with the rest, so the trace's
+    two diagonal blocks are bitwise equal (X, Y) or one is zero (Z), and
+    only the block the trace keeps is formed, with the projector's row 0
+    (X, Y) or its row ``bit`` (Z); it is then doubled, or has 0.0 added, as
+    the trace added the other block. An adaptive qubit's blocks differ in
+    their last bits, so its axis stays to the leaf, where the adaptive
+    axes are traced lowest axis first, as ``partial_trace_raw`` does. Their
+    slots in the layout are filled highest index first, so the leaf adds
+    them in the order the trace on the state's own axes does.
+
+    An adaptive level doubles the stack. Where the next level would hold
+    more entries than the permuted state, the stack is walked in chunks, as
+    many as keep every later level within one state.
     """
     order = pattern.measure_order
     adaptive = [i for i, lab in enumerate(order) if pattern.bases[lab].axis == "adaptive"]
@@ -195,68 +211,104 @@ def _walk_branches(pattern: MeasurementPattern, theta: float, rho: np.ndarray):
     # axis i of the walked copy holds qubit layout[i]
     layout = measured + [pattern.to_index(lab) for lab in pattern.kept_labels]
     axes = list(layout)   # the qubits left on the axes, level by level
-    levels = []           # per level: the projected axis, the qubit count, traced out or not
-    for label in order:
-        qubit, traced = pattern.to_index(label), pattern.bases[label].axis != "adaptive"
-        levels.append((axes.index(qubit), len(axes), traced))
-        if traced:
-            axes.remove(qubit)
-    leaf_n = len(axes)
+    levels = []           # per level: the axis, the projector rows, the control's shift, the basis
+    widths = [len(axes)]  # the qubits left after each level
     eye2 = np.eye(2, dtype=complex)
 
-    def trace_axis(mat, axis):   # the sum of the axis's two diagonal blocks
-        half = mat.shape[0] // 2
-        blocks = mat.reshape(2**axis, 2, half >> axis, 2**axis, 2, half >> axis)
-        return (blocks[:, 0, :, :, 0] + blocks[:, 1, :, :, 1]).reshape(half, half)
+    def projectors(op):   # (outcome, 2, 2)
+        return np.array([(eye2 + (-1) ** bit * op) / 2.0 for bit in (0, 1)])
 
-    def walk(mat, outcomes):
-        if len(outcomes) == len(order):
-            reduced = partial_trace_raw(mat, range(len(adaptive), leaf_n), leaf_n)
-            del mat  # hold no larger leaf while the caller uses the branch
-            yield outcomes, reduced
-            return
-        label = order[len(outcomes)]
-        axis, n, traced = levels[len(outcomes)]
-        basis = pattern.bases[label]
-        ctrl_bit = outcomes[basis.control] if basis.axis == "adaptive" else None
-        op = basis.operator(theta, ctrl_bit)
-        for bit in (0, 1):
-            proj = (eye2 + (-1) ** bit * op) / 2.0
-            branch = conjugate_on_qubit(mat, proj, axis, n)
-            if traced:
-                branch = trace_axis(branch, axis)
-            yield from walk(branch, {**outcomes, label: bit})
+    for depth, label in enumerate(order):
+        qubit, basis = pattern.to_index(label), pattern.bases[label]
+        axis = axes.index(qubit)
+        if basis.axis == "adaptive":
+            # (control bit, outcome, 1, 2, 2): a branch's control outcome picks its pair
+            ops = np.array([projectors(basis.operator(theta, c)) for c in (0, 1)])[:, :, None]
+            levels.append((axis, ops, depth - 1 - order.index(basis.control), basis.axis))
+        else:
+            # (1, outcome, 1, 1, 2): each outcome's row of the block the trace keeps
+            keep = (0, 1) if basis.axis == "Z" else (0, 0)
+            ops = projectors(basis.operator(theta))[(0, 1), keep][None, :, None, None]
+            levels.append((axis, ops, None, basis.axis))
+            axes.remove(qubit)
+        widths.append(len(axes))
+    budget = 4 ** widths[0]   # the entries of the permuted state
 
-    mat = permute_qubits(rho, layout, pattern.graph.num_vertices)
-    del rho  # the walk holds the permuted copy only, not the caller's state
-    yield from walk(mat, {})
+    def walk(stack, first, depth):
+        """The leaves below ``stack``, branches ``first, first + 1, ...`` after ``depth`` levels."""
+        for depth in range(depth, len(levels)):
+            count = len(stack)
+            # a level that would outgrow the permuted state is walked in
+            # chunks, as many as keep every later level within it
+            if count > 1 and count << 1 + 2 * widths[depth + 1] > budget:
+                most = max(count << d - depth + 2 * widths[d]
+                           for d in range(depth + 1, len(widths)))
+                chunk = max(count * budget // most, 1)
+                return np.concatenate([walk(stack[i:i + chunk], first + i, depth)
+                                       for i in range(0, count, chunk)])
+            axis, ops, shift, kind = levels[depth]
+            if shift is not None:
+                ops = ops[(np.arange(first, first + count) >> shift) & 1]
+            dim = stack.shape[1]
+            rows = _contract(ops, stack, (count, 1, 2**axis))
+            del stack   # the level above is freed once its rows are projected
+            half = dim * ops.shape[3] // 2   # the kept rows: dim, or dim/2 on a traced qubit
+            stack = _contract(ops.conj(), rows, (count, 2, half << axis)).reshape(-1, half, half)
+            del rows
+            if kind in ("X", "Y"):
+                stack += stack
+            elif kind == "Z":
+                stack += 0.0
+            first *= 2
+        if adaptive:
+            leaf_n = widths[-1]
+            t = stack.reshape((len(stack),) + (2,) * (2 * leaf_n))
+            for done in range(len(adaptive)):
+                t = np.trace(t, axis1=1, axis2=1 + leaf_n - done)
+            dim = 2 ** (leaf_n - len(adaptive))
+            stack = t.reshape(-1, dim, dim)
+        return stack
+
+    states = [permute_qubits(rho, layout, pattern.graph.num_vertices)[None]]
+    del rho   # the walk holds the permuted copy only, not the caller's state
+    return walk(states.pop(), 0, 0)   # passed on unnamed, so the first level frees it
 
 
-def _branch_correction(pattern: MeasurementPattern, outcomes: dict) -> np.ndarray:
+def _correction(pattern: MeasurementPattern, outcomes: dict) -> PauliString:
     """The byproduct Pauli on the kept qubits; each rule that fires multiplies from the left."""
     kept = pattern.kept_labels
     corr = PauliString(len(kept))
     for rule in pattern.byproducts:
         if sum(outcomes[src] for src in rule.sources) % 2:
             corr = PauliString.single(len(kept), kept.index(rule.target), rule.pauli) * corr
-    return corr.matrix()
+    return corr
+
+
+def _branch_correction(pattern: MeasurementPattern, outcomes: dict) -> np.ndarray:
+    """The byproduct matrix of one outcome vector, as the branch table holds it."""
+    return _correction(pattern, outcomes).matrix()
 
 
 def _branches(registry: PatternRegistry, gate: GateKind) -> tuple:
     """``(ideal, corrections)``: the output every branch must realize, and the
-    byproduct Pauli of each outcome vector in walk order. The ideal is the first
-    noiseless branch with weight, corrected by its own byproduct and normalized;
-    the walk stops at that leaf. ``mbqc_oracle`` keeps the table in the registry.
+    byproduct matrix of each outcome vector, stacked in walk order. Equal
+    Pauli strings give byte-identical matrices, so each distinct one is formed
+    once and the outcome vectors index into them. The ideal is the first
+    noiseless branch with weight, corrected by its own byproduct and
+    normalized. ``mbqc_oracle`` keeps the table in the registry.
     """
     pattern = registry.pattern_for(gate)
-    for outcomes, reduced in _walk_branches(pattern, gate.theta, registry.cluster_state(gate)):
-        if (prob := float(np.trace(reduced).real)) > BRANCH_EPS:
-            break
-    corr = _branch_correction(pattern, outcomes)
     order = pattern.measure_order
-    vectors = itertools.product((0, 1), repeat=len(order))
-    return (corr @ (reduced / prob) @ corr.conj().T,
-            tuple(_branch_correction(pattern, dict(zip(order, v))) for v in vectors))
+    strings = [_correction(pattern, dict(zip(order, bits)))
+               for bits in itertools.product((0, 1), repeat=len(order))]
+    distinct = {s: i for i, s in enumerate(dict.fromkeys(strings))}
+    matrices = np.array([s.matrix() for s in distinct])
+    corrections = read_only(matrices[[distinct[s] for s in strings]])
+    leaves = _walk_branches(pattern, gate.theta, registry.cluster_state(gate))
+    probs = np.trace(leaves, axis1=1, axis2=2).real
+    first = int(np.argmax(probs > BRANCH_EPS))
+    corr = corrections[first]
+    return corr @ (leaves[first] / float(probs[first])) @ corr.conj().T, corrections
 
 
 def mbqc_oracle(
@@ -278,21 +330,21 @@ def mbqc_oracle(
     ideal, corrections = registry.cached(
         "branches", gate.kind, gate.theta, functools.partial(_branches, registry, gate)
     )
-    noisy_walk = _walk_branches(
+    leaves = _walk_branches(
         pattern, gate.theta, apply_assignment(registry.cluster_state(gate), resolved)
     )
+    corrected = corrections @ leaves @ corrections.conj().transpose(0, 2, 1)
+    probs = np.trace(leaves, axis1=1, axis2=2).real.tolist()
+    # prob * Tr(sigma_m sigma) with sigma_m = corrected / prob
+    terms = np.trace(corrected @ ideal, axis1=1, axis2=2).real.tolist()
     total = 0.0
-    probs = []
-    for (_, reduced), corr in zip(noisy_walk, corrections, strict=True):
-        prob = float(np.trace(reduced).real)
-        if prob <= BRANCH_EPS:
-            continue
-        probs.append(prob)
-        corrected = corr @ reduced @ corr.conj().T
-        # prob * Tr(sigma_m sigma) with sigma_m = corrected / prob
-        total += float(np.trace(corrected @ ideal).real)
+    weights = []
+    for prob, term in zip(probs, terms, strict=True):
+        if prob > BRANCH_EPS:
+            weights.append(prob)
+            total += term
     return FidelityResult(
-        gate, describe_assignment(pattern, resolved), total, "oracle", tuple(probs)
+        gate, describe_assignment(pattern, resolved), total, "oracle", tuple(weights)
     )
 
 

@@ -323,6 +323,15 @@ class TestValidate:
         assert code == 0
         assert "FAIL" not in out and "all checks passed" in out
 
+    def test_each_check_prints_its_time_on_stderr(self, capsys):
+        code, out, err = run(["validate"], capsys)
+        assert code == 0
+        checks = [line.split("  ")[1] for line in out.splitlines()
+                  if line.startswith(("PASS  ", "FAIL  "))]
+        timed = [re.fullmatch(r" *(\d+\.\d) ms  (.+)", line) for line in err.splitlines()]
+        assert len(checks) > 20 and all(timed)
+        assert [m[2] for m in timed] == checks
+
     @pytest.mark.parametrize("line, corrupted, gate", [
         # drop one chain edge of the identity graph: the witness no longer
         # stabilizes the built cluster state

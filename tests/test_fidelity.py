@@ -356,30 +356,28 @@ class TestOracle:
         assert abs(res.raw_value - ref.raw_value) <= 1e-9
         assert ref.branch_probabilities == ()
 
-    @pytest.mark.parametrize("gate, projections", [
-        (IDENTITY, 62), (HADAMARD, 62), (z_rotation(1.1), 62), (CONTROLLED_Z, 30),
-    ])
-    def test_each_outcome_prefix_is_projected_once(self, gate, projections, monkeypatch):
-        # k measured qubits: 2 + 4 + ... + 2^k = 2^(k+1) - 2 projections on a
-        # warm branch table, where one projection chain per branch took k * 2^k;
-        # a cold call first walks the noiseless state down to its first leaf
-        # only, k more: 67 on the 7-qubit gates and 34 on cz
+    @pytest.mark.parametrize("gate", [IDENTITY, HADAMARD, z_rotation(1.1), CONTROLLED_Z], ids=str)
+    def test_each_level_is_two_batched_contractions(self, gate, monkeypatch):
+        # the walk projects all branches of a level at once, one row-side and
+        # one column-side contraction per measured qubit, where the walk
+        # before took 2^(k+1) - 2 projections; a cold call first walks the
+        # noiseless state for the branch table, as many more
         registry = load_registry()
         calls = []
-        project = fidelity.conjugate_on_qubit
+        contract = fidelity._contract
 
-        def counting(*args):
-            calls.append(args[2])
-            return project(*args)
+        def counting(ops, stack, lead):
+            calls.append(lead)
+            return contract(ops, stack, lead)
 
-        monkeypatch.setattr(fidelity, "conjugate_on_qubit", counting)
+        monkeypatch.setattr(fidelity, "_contract", counting)
         pattern = registry.pattern_for(gate)
         assignment = {pattern.labels[1]: dephasing(0.2)}
         mbqc_oracle(gate, assignment, registry)
-        assert len(calls) == projections + len(pattern.measure_order)
+        assert len(calls) == 4 * len(pattern.measure_order)
         calls.clear()
         mbqc_oracle(gate, assignment, registry)
-        assert len(calls) == projections
+        assert len(calls) == 2 * len(pattern.measure_order)
 
     def test_branch_table_is_kept_in_the_registry_for_the_latest_angle(self):
         registry = load_registry()
@@ -603,6 +601,14 @@ def _unpermuted_walk(pattern, theta, rho):
     yield from walk(rho, {})
 
 
+def _walk(pattern, theta, rho) -> list:
+    """The walk's stack as ``(outcomes, reduced branch)`` pairs, in ``itertools.product`` order."""
+    order = pattern.measure_order
+    vectors = itertools.product((0, 1), repeat=len(order))
+    stack = fidelity._walk_branches(pattern, theta, rho)
+    return [(dict(zip(order, bits)), reduced) for bits, reduced in zip(vectors, stack, strict=True)]
+
+
 @pytest.mark.parametrize("gate", [
     IDENTITY, HADAMARD, z_rotation(math.pi / 4), z_rotation(1.1), CONTROLLED_Z,
 ])
@@ -617,7 +623,7 @@ def test_walk_matches_unpermuted_reference_bitwise(registry, rng, gate):
     }
     noisy = apply_assignment(clean, resolve_assignment(pattern, assignment))
     for rho in (clean, noisy):
-        walked = list(fidelity._walk_branches(pattern, gate.theta, rho))
+        walked = _walk(pattern, gate.theta, rho)
         reference = list(_unpermuted_walk(pattern, gate.theta, rho))
         assert len(walked) == len(reference) == 2 ** len(pattern.measure_order)
         for (outcomes, reduced), (ref_outcomes, ref_reduced) in zip(walked, reference):
@@ -648,11 +654,34 @@ def test_walk_with_a_y_basis_and_two_adaptive_qubits_is_bitwise_the_reference(
     }
     noisy = apply_assignment(clean, resolve_assignment(pattern, assignment))
     for rho in (clean, noisy):
-        walked = list(fidelity._walk_branches(pattern, theta, rho))
+        walked = _walk(pattern, theta, rho)
         reference = list(_unpermuted_walk(pattern, theta, rho))
         assert len(walked) == len(reference) == 2 ** len(order)
         for (outcomes, reduced), (ref_outcomes, ref_reduced) in zip(walked, reference):
             assert outcomes == ref_outcomes
+            assert np.array_equal(reduced, ref_reduced)
+
+
+def _custom_channel(rng) -> KrausChannel:
+    """A CPTP map of 1-4 Kraus operators, drawn as ``tools/exactness_digest.py`` draws them."""
+    count = int(rng.integers(1, 5))
+    q, _ = np.linalg.qr(rng.normal(size=(2 * count, 2)) + 1j * rng.normal(size=(2 * count, 2)))
+    return KrausChannel("custom", 0.0, tuple(q[i:i + 2] for i in range(0, 2 * count, 2)))
+
+
+@pytest.mark.parametrize("gate", ALL_GATES, ids=str)
+def test_walk_under_general_kraus_maps_is_bitwise_the_reference(registry, rng, gate):
+    # a built-in channel's Kraus columns hold one nonzero entry each; these
+    # mix both, so no block of the noisy state is a copy of another
+    pattern = registry.pattern_for(gate)
+    for _ in range(5):
+        chosen = rng.choice(pattern.labels, size=int(rng.integers(1, 4)), replace=False)
+        assignment = {str(lab): _custom_channel(rng) for lab in chosen}
+        rho = apply_assignment(registry.cluster_state(gate), resolve_assignment(pattern, assignment))
+        walked = fidelity._walk_branches(pattern, gate.theta, rho)
+        reference = [reduced for _, reduced in _unpermuted_walk(pattern, gate.theta, rho)]
+        assert len(walked) == len(reference) == 2 ** len(pattern.measure_order)
+        for reduced, ref_reduced in zip(walked, reference):
             assert np.array_equal(reduced, ref_reduced)
 
 
@@ -730,7 +759,7 @@ def test_first_weighted_branch_is_the_ideal_output():
     registry = parse_registry_text(head + "[zrot]" + zrot)
     gate = z_rotation(math.pi)
     pattern = registry.pattern_for(gate)
-    leaf = next(fidelity._walk_branches(pattern, gate.theta, registry.cluster_state(gate)))
+    leaf = _walk(pattern, gate.theta, registry.cluster_state(gate))[0]
     assert float(np.trace(leaf[1]).real) <= fidelity.BRANCH_EPS
     for assignment in ({}, {"7": dephasing(0.3)}, {"7": amplitude_damping(0.6)},
                        {"1": dephasing(0.3)}, {"3": amplitude_damping(0.4), "7": bit_flip(0.2)}):

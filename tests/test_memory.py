@@ -13,14 +13,17 @@ a formula call that runs no channel on the whole state (every channel
 diagonal but perhaps the lowest) should make no state-sized array, and one
 with a non-diagonal channel on every qubit should peak near three states,
 while it applies the channels below the highest one to the whole state; the
-oracle should hold one permuted copy of the state and the first projection of
-it, since every level below is traced down to a quarter of the one above.
+oracle should hold one permuted copy of the state until its first level is
+projected, and each level's stack, which halves at every traced qubit and
+doubles at every adaptive one; a walk whose stack would outgrow the state goes
+on in chunks.
 """
 
 import gc
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 
 from clusterfid.channels import (
@@ -30,8 +33,20 @@ from clusterfid.channels import (
     dephasing,
     phase_damping,
 )
+from clusterfid import fidelity
 from clusterfid.fidelity import fidelity_formula, mbqc_oracle
-from clusterfid.patterns import CONTROLLED_Z, HADAMARD, IDENTITY, load_registry, z_rotation
+from clusterfid.graphs import Graph
+from clusterfid.patterns import (
+    CONTROLLED_Z,
+    HADAMARD,
+    IDENTITY,
+    BasisSpec,
+    MeasurementPattern,
+    PatternRegistry,
+    load_registry,
+    z_rotation,
+)
+from test_fidelity import _unpermuted_walk
 
 GATES = [IDENTITY, HADAMARD, z_rotation(0.7), CONTROLLED_Z]
 
@@ -70,10 +85,39 @@ def test_warm_oracle_walks_one_copy_of_the_state(gate):
     mbqc_oracle(gate, assignment, registry)  # builds the cluster state and branch table
     _, peak = traced(lambda: mbqc_oracle(gate, assignment, registry))
     # each measured qubit but an adaptive one is traced out as soon as it
-    # is projected, so a level holds a quarter of the one above it: the peak
-    # is the permuted copy and the two matmul outputs of the first
-    # projection, whatever the number of levels (3.27-3.31)
+    # is projected, and the stack of both outcomes holds half the entries
+    # of the one above it: the peak is the noisy state and its permuted copy,
+    # or that copy and the first level's row-side projection (2.01-2.02)
     assert peak / state_bytes(registry, gate) <= 3.5
+
+
+def test_walk_over_four_adaptive_qubits_goes_in_chunks_within_the_bound():
+    # a 9-qubit chain measured Z, X, four adaptive qubits and Z: each
+    # adaptive level doubles the stack, so from the level that would outgrow
+    # the permuted state the walk goes on in chunks, as many as keep the
+    # largest later level within one state; each branch keeps its bits
+    labels = tuple(str(i) for i in range(9))
+    order = ("0", "2", "3", "4", "5", "6", "8")
+    bases = [BasisSpec("Z"), BasisSpec("X")]
+    bases += [BasisSpec("adaptive", control) for control in ("2", "3", "4", "5")]
+    chain = MeasurementPattern(
+        name="zrot", graph=Graph.chain(9), labels=labels, input_labels=("1",),
+        output_labels=("7",), measure_order=order, bases=dict(zip(order, bases + [BasisSpec("Z")])),
+    )
+    registry = PatternRegistry({**load_registry()._patterns, "zrot": chain})
+    gate = z_rotation(0.7)
+    assignment = {"3": amplitude_damping(0.3), "5": dephasing(0.2)}
+    mbqc_oracle(gate, assignment, registry)  # builds the cluster state and branch table
+    _, peak = traced(lambda: mbqc_oracle(gate, assignment, registry))
+    # the chunked stack, and a chunk's largest level with its row-side
+    # projection (3.01)
+    assert peak / state_bytes(registry, gate) <= 3.5
+    clean = registry.cluster_state(gate)
+    walked = fidelity._walk_branches(chain, gate.theta, clean)
+    reference = [reduced for _, reduced in _unpermuted_walk(chain, gate.theta, clean)]
+    assert len(walked) == len(reference) == 2 ** len(order)
+    for reduced, ref_reduced in zip(walked, reference):
+        assert np.array_equal(reduced, ref_reduced)
 
 
 @pytest.mark.parametrize("noisy", ["last qubit", "all qubits"])
