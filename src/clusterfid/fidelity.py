@@ -220,17 +220,17 @@ def _walk_branches(pattern: MeasurementPattern, theta: float, rho: np.ndarray) -
 
     for depth, label in enumerate(order):
         qubit, basis = pattern.to_index(label), pattern.bases[label]
-        axis = axes.index(qubit)
+        axis, shift = axes.index(qubit), None
         if basis.axis == "adaptive":
             # (control bit, outcome, 1, 2, 2): a branch's control outcome picks its pair
             ops = np.array([projectors(basis.operator(theta, c)) for c in (0, 1)])[:, :, None]
-            levels.append((axis, ops, depth - 1 - order.index(basis.control), basis.axis))
+            shift = depth - 1 - order.index(basis.control)
         else:
             # (1, outcome, 1, 1, 2): each outcome's row of the block the trace keeps
             keep = (0, 1) if basis.axis == "Z" else (0, 0)
             ops = projectors(basis.operator(theta))[(0, 1), keep][None, :, None, None]
-            levels.append((axis, ops, None, basis.axis))
             axes.remove(qubit)
+        levels.append((axis, ops, shift, basis.axis))
         widths.append(len(axes))
     budget = 4 ** widths[0]   # the entries of the permuted state
 

@@ -26,6 +26,7 @@ import weakref
 import numpy as np
 import pytest
 
+from clusterfid import fidelity
 from clusterfid.channels import (
     BUILTIN_CHANNELS,
     SHARED_CHANNELS,
@@ -33,7 +34,6 @@ from clusterfid.channels import (
     dephasing,
     phase_damping,
 )
-from clusterfid import fidelity
 from clusterfid.fidelity import fidelity_formula, mbqc_oracle
 from clusterfid.graphs import Graph
 from clusterfid.patterns import (
@@ -95,11 +95,13 @@ def test_walk_over_four_adaptive_qubits_goes_in_chunks_within_the_bound():
     # a 9-qubit chain measured Z, X, four adaptive qubits and Z: each
     # adaptive level doubles the stack, so from the level that would outgrow
     # the permuted state the walk goes on in chunks, as many as keep the
-    # largest later level within one state; each branch keeps its bits
+    # largest later level within one state; each branch keeps its bits. The
+    # last two adaptive qubits read controls measured above the chunks, so a
+    # chunk must read them off its branches' place in the whole stack
     labels = tuple(str(i) for i in range(9))
     order = ("0", "2", "3", "4", "5", "6", "8")
     bases = [BasisSpec("Z"), BasisSpec("X")]
-    bases += [BasisSpec("adaptive", control) for control in ("2", "3", "4", "5")]
+    bases += [BasisSpec("adaptive", control) for control in ("2", "3", "2", "3")]
     chain = MeasurementPattern(
         name="zrot", graph=Graph.chain(9), labels=labels, input_labels=("1",),
         output_labels=("7",), measure_order=order, bases=dict(zip(order, bases + [BasisSpec("Z")])),
