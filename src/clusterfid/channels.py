@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import apply_kraus, kraus_table, read_only
+from .engine import apply_kraus, apply_kraus_diagonal, kraus_table, read_only
 # Unused here, but the benchmark tracer (perfbench/tracing.py) wraps this site.
 from .engine import conjugate_on_qubit  # noqa: F401
 
@@ -100,6 +100,19 @@ class KrausChannel:
         channel: the operators are frozen.
         """
         return not any(op[0, 1] or op[1, 0] for op in self.operators)
+
+    @functools.cached_property
+    def mixes_blocks(self) -> bool:
+        """Whether the output's diagonal blocks read an off-diagonal block of the input.
+
+        True when some Kraus operator has two nonzero entries in one row:
+        then a ``kraus_table`` term of block (0, 0) or (1, 1) flips the row
+        bit and not the column bit. No built-in channel does. The branch
+        oracle holds a Z-measured qubit by its diagonal blocks only unless
+        its channel mixes them. Computed once per channel.
+        """
+        diagonal_blocks = self.table[0] + self.table[3]
+        return any(fa != fb for (fa, fb), _, _ in diagonal_blocks)
 
     @functools.cached_property
     def table(self) -> tuple:
@@ -228,7 +241,8 @@ def parse_channel_spec(spec: str) -> KrausChannel:
     return channel_family(name.strip())(float(arg))
 
 
-def apply_assignment(mat: np.ndarray, assignment: dict) -> np.ndarray:
+def apply_assignment(mat: np.ndarray, assignment: dict, layout: tuple | None = None,
+                     sliced: tuple = ()) -> np.ndarray:
     """Apply each qubit's channel (keyed by qubit index) in turn to the state ``mat``.
 
     Channels on distinct qubits commute, so the iteration order cannot
@@ -243,8 +257,19 @@ def apply_assignment(mat: np.ndarray, assignment: dict) -> np.ndarray:
 
     Every target is checked before any work is done. Each channel is then
     one ``apply_kraus`` pass on its qubit's own tensor axes.
+
+    The branch oracle passes a stack that holds the qubits ``sliced`` by
+    their diagonal blocks: ``mat`` is then ``(2^z, d, d)`` for z sliced
+    qubits, and ``mat[i]`` is the state of the qubits ``layout`` (qubit
+    ``layout[j]`` on tensor axis j) in the diagonal block of each sliced
+    qubit that its bit of i picks, ``sliced[0]``'s the top one. A sliced
+    qubit's channel is one ``apply_kraus_diagonal`` pass across the stack,
+    which refuses a channel that mixes blocks. A channel reads only entries
+    whose other qubits' bits match the ones it writes, so every entry is
+    bit for bit the one the whole state would get.
     """
-    n = mat.shape[0].bit_length() - 1
+    n = mat.shape[-1].bit_length() - 1 + len(sliced)
+    layout = range(n) if layout is None else layout
     noisy = sorted(assignment)
     for q in noisy:
         if not (0 <= q < n):
@@ -252,5 +277,9 @@ def apply_assignment(mat: np.ndarray, assignment: dict) -> np.ndarray:
     if not noisy:
         return read_only(mat)
     for q in noisy:
-        mat = apply_kraus(mat, assignment[q].table, q, n)
+        table = assignment[q].table
+        if q in sliced:
+            mat = apply_kraus_diagonal(mat, table, sliced.index(q))
+        else:
+            mat = apply_kraus(mat, table, layout.index(q), len(layout))
     return mat

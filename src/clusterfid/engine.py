@@ -75,17 +75,6 @@ def embed(op: np.ndarray, targets: list[int], num_qubits: int) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(2**num_qubits, 2**num_qubits))
 
 
-def permute_qubits(mat: np.ndarray, layout: list, num_qubits: int) -> np.ndarray:
-    """``mat`` with qubit ``layout[i]`` on tensor axis i, on rows and columns alike.
-
-    The result is C-contiguous, so it is a copy unless the layout leaves
-    every qubit where it is. Only entries move, so no value changes.
-    """
-    n = num_qubits
-    t = mat.reshape((2,) * (2 * n)).transpose(list(layout) + [n + q for q in layout])
-    return np.ascontiguousarray(t).reshape(mat.shape)
-
-
 def conjugate_on_qubit(
     mat: np.ndarray, op: np.ndarray, qubit: int, num_qubits: int
 ) -> np.ndarray:
@@ -142,6 +131,24 @@ def kraus_table(operators: Sequence[np.ndarray]) -> tuple:
     )
 
 
+def _sum_terms(block: np.ndarray, terms: list, row: np.ndarray, term: np.ndarray) -> None:
+    """Write the sum of ``(K[c, a] * source) * conj(K[e, b])`` over ``terms`` into ``block``.
+
+    ``terms`` holds ``(source, K[c, a], conj(K[e, b]))`` triples, summed in
+    order; ``row`` and ``term`` are scratch buffers of the block's shape.
+    No term leaves the block zero.
+    """
+    if not terms:
+        block[...] = 0
+    for i, (source, kca, keb) in enumerate(terms):
+        np.multiply(source, kca, out=row)
+        if i:
+            np.multiply(row, keb, out=term)
+            block += term
+        else:
+            np.multiply(row, keb, out=block)
+
+
 def apply_kraus(mat: np.ndarray, table: tuple, qubit: int, num_qubits: int) -> np.ndarray:
     """Return ``sum_K K rho K^dag`` on ``qubit``, from the ``kraus_table`` of 2x2 operators K.
 
@@ -151,7 +158,9 @@ def apply_kraus(mat: np.ndarray, table: tuple, qubit: int, num_qubits: int) -> n
     table terms ``(K[c, a] * rho[a, b]) * conj(K[e, b])``, in table order.
     The work is elementwise, into one fresh output and two quarter-size
     scratch buffers, so the qubit's position moves its cost far less than
-    it moves that of ``conjugate_on_qubit``.
+    it moves that of ``conjugate_on_qubit``. ``mat`` may also be a stack of
+    states, ``(..., d, d)``; each is transformed on its own, the stack
+    axes joining ``hi``.
 
     A built-in channel's Kraus operators have at most one nonzero entry per
     row, so each output entry is the same rounded product, summed over K in
@@ -162,23 +171,42 @@ def apply_kraus(mat: np.ndarray, table: tuple, qubit: int, num_qubits: int) -> n
     if not (0 <= qubit < num_qubits):
         raise ValueError(f"qubit {qubit} out of range for {num_qubits} qubits")
     left = 2**qubit
-    right = mat.shape[0] // (2 * left)
-    rho = mat.reshape(left, 2, right * left, 2, right)
+    right = mat.shape[-1] // (2 * left)
+    rho = mat.reshape(-1, 2, right * left, 2, right)
     out = np.empty(rho.shape, dtype=complex)
-    row = np.empty((left, right * left, right), dtype=complex)  # K[c, a] * rho[a, b]
+    row = np.empty((len(rho), right * left, right), dtype=complex)  # K[c, a] * rho[a, b]
     term = np.empty_like(row)
     for (c, e), terms in zip(itertools.product((0, 1), repeat=2), table):
-        block = out[:, c, :, e, :]
-        if not terms:
-            block[...] = 0
-        for i, ((fa, fb), kca, keb) in enumerate(terms):
-            np.multiply(rho[:, c ^ fa, :, e ^ fb, :], kca, out=row)
-            if i:
-                np.multiply(row, keb, out=term)
-                block += term
-            else:
-                np.multiply(row, keb, out=block)
+        sources = [(rho[:, c ^ fa, :, e ^ fb, :], kca, keb) for (fa, fb), kca, keb in terms]
+        _sum_terms(out[:, c, :, e, :], sources, row, term)
     return out.reshape(mat.shape)
+
+
+def apply_kraus_diagonal(stack: np.ndarray, table: tuple, bit: int) -> np.ndarray:
+    """``apply_kraus`` on a qubit held by its diagonal blocks only, as a bit of the stack index.
+
+    ``stack[i]`` is the rest of the state in the qubit's block ``(c, c)``,
+    with c bit ``bit`` of i counted from the top of the index: ``stack`` is
+    viewed as ``rho[hi, c, lo]``. Output block ``(c, c)`` sums that block's
+    ``kraus_table`` terms ``(K[c, a] * rho[a, a]) * conj(K[c, a])``, formed
+    and added as ``apply_kraus`` forms and adds them, so each entry is bit
+    for bit that of ``apply_kraus`` on the whole state. A channel whose
+    diagonal blocks read an off-diagonal one (``KrausChannel.mixes_blocks``)
+    raises ``ValueError``.
+    """
+    left = 2**bit
+    if len(stack) % (2 * left):
+        raise ValueError(f"bit {bit} out of range for a stack of {len(stack)}")
+    rho = stack.reshape(left, 2, -1)
+    out = np.empty(rho.shape, dtype=complex)
+    row = np.empty((left, rho.shape[2]), dtype=complex)
+    term = np.empty_like(row)
+    for c, terms in ((0, table[0]), (1, table[3])):
+        if any(fa != fb for (fa, fb), _, _ in terms):
+            raise ValueError("the channel's diagonal blocks read an off-diagonal block")
+        _sum_terms(out[:, c], [(rho[:, c ^ fa], kca, keb) for (fa, _), kca, keb in terms],
+                   row, term)
+    return out.reshape(stack.shape)
 
 
 def _block_bits(qubit: int, num_qubits: int) -> tuple:

@@ -1,11 +1,14 @@
 """The two independent gate-fidelity evaluators and their cross-validation.
 
 ``fidelity_formula`` evaluates the closed-form witness expectation on the
-noisy cluster state. ``mbqc_oracle`` knows nothing about witnesses: it
-walks the measurement outcomes level by level in measurement order,
-projecting the stack of all branches so far on both outcomes of the next
-qubit at once (the outcome-adapted basis reads its control outcome off each
-branch) and tracing each X-, Y- or Z-measured qubit out as soon as it is
+noisy cluster state. ``mbqc_oracle`` knows nothing about witnesses: a
+Z measurement removes its qubit from the cluster, so it first slices each
+Z-measured qubit into a branch bit, copying only that qubit's diagonal
+blocks of the pristine state, and applies the channels to that stack. It
+then walks the other measurement outcomes level by level in measurement
+order, projecting the stack of all branches so far on both outcomes of the
+next qubit at once (the outcome-adapted basis reads its control outcome off
+each branch) and tracing each X- or Y-measured qubit out as soon as it is
 projected, so such a level holds half the entries of the one above. It
 reduces each branch to the kept qubits bit for bit as a trace at the leaf
 would, applies the byproduct corrections, and averages Tr(sigma_m sigma)
@@ -17,14 +20,14 @@ the probability of each branch it weighed (``branch_probabilities``).
 
 The two evaluators share the engine, the registry and ``apply_assignment``,
 but no intermediate: each applies the channels to the registry's pristine
-cluster state itself. The formula reads the witness only where it is
-nonzero, so no dense witness is needed, and it applies there alone its
-highest non-diagonal channel and every diagonal channel above it, and sums
-there in ``np.sum``'s order. The registry keeps what each gate needs again
+cluster state itself, the oracle to its sliced stack. The formula reads the
+witness only where it is nonzero, so no dense witness is needed, and it
+applies there alone its highest non-diagonal channel and every diagonal
+channel above it, and sums there in ``np.sum``'s order. The registry keeps what each gate needs again
 (its cluster state, witness support with its sum plan, the support's
-grouping and classes per noisy qubit, and branch table) for the latest theta
-only. Assignments are keyed by qubit label and checked by
-``MeasurementPattern.check_labels``.
+grouping and classes per noisy qubit, branch table, and walk plan per set
+of sliced qubits) for the latest theta only. Assignments are keyed by
+qubit label and checked by ``MeasurementPattern.check_labels``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +44,6 @@ from .engine import (
     FlippedEntries,
     apply_kraus_at,
     pairwise_sum_at,
-    permute_qubits,
     read_only,
 )
 # Unused here, but the benchmark tracer (perfbench/tracing.py) wraps these sites.
@@ -171,60 +174,65 @@ def _contract(ops: np.ndarray, stack: np.ndarray, lead: tuple) -> np.ndarray:
     return np.matmul(ops, stack.reshape(*lead, 2, -1))
 
 
-def _walk_branches(pattern: MeasurementPattern, theta: float, rho: np.ndarray) -> np.ndarray:
-    """The reduced branch of every outcome vector of the pattern, as one ``(2^k, d, d)`` stack.
+class _WalkPlan(NamedTuple):
+    """What a walk needs of the pattern, the angle and the sliced qubits (``_walk_plan``)."""
 
-    The branches come in ``itertools.product`` order over ``measure_order``;
-    each is the unnormalized state of the kept qubits, bitwise the one that
-    projecting on the state's own axes and then tracing the measured qubits
-    out highest index first gives.
+    sliced: tuple       # the Z-measured qubits held as branch bits, ascending
+    layout: tuple       # qubit layout[i] on tensor axis i of every walked state
+    gather: tuple       # np.einsum's axis labels in and out, slicing the state into the stack
+    levels: tuple       # per walked qubit: axis, projector rows, control's shift, basis
+    widths: tuple       # the qubits on the axes before the first level and after each
+    adaptive: int       # how many adaptive axes the leaves trace out
+    leaf_order: np.ndarray   # the walk's index of each outcome vector, in product order
 
-    The walk runs on a copy of the state whose qubit axes are permuted so
-    the measured qubits lead in measurement order, followed by the kept
-    qubits in ascending order; the permutation only moves entries. It goes
-    level by level: the stack of the branches after the first levels is
-    projected on the next measured qubit for both outcomes at once, by one
-    row-side and one column-side ``_contract``, so each branch gets the
-    same 2 x 2 @ 2 x M products ``conjugate_on_qubit`` formed. An adaptive
-    level stacks, for each branch, the projectors its control outcome picks,
-    read off the bit of the branch index. A qubit measured in X, Y or Z is
-    traced out at once, so the stack shrinks 2x per such level: the
-    projector leaves it in a product state with the rest, so the trace's
-    two diagonal blocks are bitwise equal (X, Y) or one is zero (Z), and
-    only the block the trace keeps is formed, with the projector's row 0
-    (X, Y) or its row ``bit`` (Z); it is then doubled, or has 0.0 added, as
-    the trace added the other block. An adaptive qubit's blocks differ in
-    their last bits, so its axis stays to the leaf, where the adaptive
-    axes are traced lowest axis first, as ``partial_trace_raw`` does. Their
-    slots in the layout are filled highest index first, so the leaf adds
-    them in the order the trace on the state's own axes does.
 
-    An adaptive level doubles the stack. Where the next level would hold
-    more entries than the permuted state, the stack is walked in chunks, as
-    many as keep every later level within one state.
+def _sliced(pattern: MeasurementPattern, resolved: dict) -> tuple:
+    """The Z-measured qubits the walk holds as branch bits, ascending: all but
+    those whose channel mixes the diagonal blocks (``KrausChannel.mixes_blocks``)."""
+    return tuple(sorted(
+        q for q in (pattern.to_index(lab) for lab in pattern.measure_order
+                    if pattern.bases[lab].axis == "Z")
+        if not (q in resolved and resolved[q].mixes_blocks)
+    ))
+
+
+def _walk_plan(pattern: MeasurementPattern, theta: float, sliced: tuple) -> _WalkPlan:
+    """The layout, level projectors, widths and outcome-bit order of a walk.
+
+    The stack's branch index holds one outcome bit per measured qubit, from
+    the top: the ``sliced`` qubits' in ascending order, then the walked
+    qubits' in measurement order, each appended below the others as its
+    level is walked. An adaptive level reads its control's bit off that
+    index, and ``leaf_order`` puts the leaves in ``itertools.product``
+    order over ``measure_order``. The walked qubits lead the layout in
+    measurement order, followed by the kept qubits in ascending order; the
+    adaptive qubits' slots are filled highest index first, so the leaf adds
+    their axes in the order a trace on the state's own axes does.
     """
     order = pattern.measure_order
-    adaptive = [i for i, lab in enumerate(order) if pattern.bases[lab].axis == "adaptive"]
-    measured = [pattern.to_index(lab) for lab in order]
+    walked = [lab for lab in order if pattern.to_index(lab) not in sliced]
+    adaptive = [i for i, lab in enumerate(walked) if pattern.bases[lab].axis == "adaptive"]
+    measured = [pattern.to_index(lab) for lab in walked]
     for slot, q in zip(adaptive, sorted((measured[i] for i in adaptive), reverse=True)):
         measured[slot] = q
-    # axis i of the walked copy holds qubit layout[i]
     layout = measured + [pattern.to_index(lab) for lab in pattern.kept_labels]
+    top = {pattern.labels[q]: i for i, q in enumerate(sliced)}   # each label's bit, from the top
+    top.update((lab, len(sliced) + i) for i, lab in enumerate(walked))
     axes = list(layout)   # the qubits left on the axes, level by level
-    levels = []           # per level: the axis, the projector rows, the control's shift, the basis
-    widths = [len(axes)]  # the qubits left after each level
+    levels = []
+    widths = [len(axes)]
     eye2 = np.eye(2, dtype=complex)
 
     def projectors(op):   # (outcome, 2, 2)
         return np.array([(eye2 + (-1) ** bit * op) / 2.0 for bit in (0, 1)])
 
-    for depth, label in enumerate(order):
+    for depth, label in enumerate(walked):
         qubit, basis = pattern.to_index(label), pattern.bases[label]
         axis, shift = axes.index(qubit), None
         if basis.axis == "adaptive":
             # (control bit, outcome, 1, 2, 2): a branch's control outcome picks its pair
             ops = np.array([projectors(basis.operator(theta, c)) for c in (0, 1)])[:, :, None]
-            shift = depth - 1 - order.index(basis.control)
+            shift = len(sliced) + depth - 1 - top[basis.control]
         else:
             # (1, outcome, 1, 1, 2): each outcome's row of the block the trace keeps
             keep = (0, 1) if basis.axis == "Z" else (0, 0)
@@ -232,13 +240,83 @@ def _walk_branches(pattern: MeasurementPattern, theta: float, rho: np.ndarray) -
             axes.remove(qubit)
         levels.append((axis, ops, shift, basis.axis))
         widths.append(len(axes))
-    budget = 4 ** widths[0]   # the entries of the permuted state
+    n = pattern.graph.num_vertices
+    # a sliced qubit's column axis takes its row axis's label: einsum keeps their diagonal
+    gather = ([*range(n), *(q if q in sliced else n + q for q in range(n))],
+              [*sliced, *layout, *(n + q for q in layout)])
+    walk_index = np.arange(2 ** len(order)).reshape((2,) * len(order))
+    leaf_order = walk_index.transpose([top[lab] for lab in order]).reshape(-1)
+    return _WalkPlan(sliced, tuple(layout), gather, tuple(levels), tuple(widths),
+                     len(adaptive), read_only(leaf_order))
+
+
+def _plan(registry: PatternRegistry, gate: GateKind, resolved: dict) -> _WalkPlan:
+    """The gate's ``_walk_plan`` for the qubits the channels ``resolved`` let it slice, cached."""
+    pattern = registry.pattern_for(gate)
+    sliced = _sliced(pattern, resolved)
+    return registry.cached(("walk", sliced), gate.kind, gate.theta,
+                           functools.partial(_walk_plan, pattern, gate.theta, sliced))
+
+
+def _gather(plan: _WalkPlan, rho: np.ndarray) -> np.ndarray:
+    """The entries of ``rho`` the walk reads, as a fresh ``(2^z, d, d)`` stack.
+
+    Entry i holds the layout qubits' state, their axes in layout order, in
+    the diagonal block of each sliced qubit that its bit of i picks. Only
+    entries move, so no value changes; the sliced qubits' off-diagonal
+    blocks, 1 - 2^-z of the state, are never copied.
+    """
+    dim = 2 ** len(plan.layout)
+    num_qubits = len(plan.sliced) + len(plan.layout)
+    view = np.einsum(rho.reshape((2,) * (2 * num_qubits)), *plan.gather)
+    return np.ascontiguousarray(view).reshape(-1, dim, dim)
+
+
+def _walk_branches(plan: _WalkPlan, stack: np.ndarray) -> np.ndarray:
+    """The reduced branch of every outcome vector of the pattern, as one ``(2^k, d, d)`` stack.
+
+    ``stack`` is ``_gather``'s, with any channels applied; passed on
+    unnamed, it is freed by the first level. The branches come in
+    ``itertools.product`` order over ``measure_order``; each is the
+    unnormalized state of the kept qubits, bitwise the one that projecting
+    on the state's own axes and then tracing the measured qubits out
+    highest index first gives.
+
+    A Z-measured qubit's projector keeps one diagonal block and the trace
+    drops the other, so a sliced qubit is a branch bit from the start: the
+    walk starts with 2^z branches, one per diagonal block. What the Z level
+    formed, ``1*x + 0*y`` and then ``+ 0.0``, is ``x`` but for the sign of a
+    zero, which no weighted probability or fidelity can carry, and every
+    other step reads only entries of the same block.
+
+    The walk then goes level by level over the other measured qubits: the
+    stack of the branches so far is projected on the next one for both
+    outcomes at once, by one row-side and one column-side ``_contract``, so
+    each branch gets the same 2 x 2 @ 2 x M products ``conjugate_on_qubit``
+    formed. An adaptive level stacks, for each branch, the projectors its
+    control outcome picks, read off the bit of the branch index. A qubit
+    measured in X, Y or Z is traced out at once, so the stack shrinks 2x per
+    such level: the projector leaves it in a product state with the rest,
+    so the trace's two diagonal blocks are bitwise equal (X, Y) or one is
+    zero (Z), and only the block the trace keeps is formed, with the
+    projector's row 0 (X, Y) or its row ``bit`` (Z); it is then doubled, or
+    has 0.0 added, as the trace added the other block. An adaptive qubit's
+    blocks differ in their last bits, so its axis stays to the leaf, where
+    the adaptive axes are traced lowest axis first, as ``partial_trace_raw``
+    does.
+
+    An adaptive level doubles the stack. Where the next level would hold
+    more entries than the gathered stack, the stack is walked in chunks, as
+    many as keep every later level within it.
+    """
+    levels, widths = plan.levels, plan.widths
+    budget = stack.size   # the entries of the gathered stack
 
     def walk(stack, first, depth):
         """The leaves below ``stack``, branches ``first, first + 1, ...`` after ``depth`` levels."""
         for depth in range(depth, len(levels)):
             count = len(stack)
-            # a level that would outgrow the permuted state is walked in
+            # a level that would outgrow the gathered stack is walked in
             # chunks, as many as keep every later level within it
             if count > 1 and count << 1 + 2 * widths[depth + 1] > budget:
                 most = max(count << d - depth + 2 * widths[d]
@@ -260,18 +338,18 @@ def _walk_branches(pattern: MeasurementPattern, theta: float, rho: np.ndarray) -
             elif kind == "Z":
                 stack += 0.0
             first *= 2
-        if adaptive:
+        if plan.adaptive:
             leaf_n = widths[-1]
             t = stack.reshape((len(stack),) + (2,) * (2 * leaf_n))
-            for done in range(len(adaptive)):
+            for done in range(plan.adaptive):
                 t = np.trace(t, axis1=1, axis2=1 + leaf_n - done)
-            dim = 2 ** (leaf_n - len(adaptive))
+            dim = 2 ** (leaf_n - plan.adaptive)
             stack = t.reshape(-1, dim, dim)
         return stack
 
-    states = [permute_qubits(rho, layout, pattern.graph.num_vertices)[None]]
-    del rho   # the walk holds the permuted copy only, not the caller's state
-    return walk(states.pop(), 0, 0)   # passed on unnamed, so the first level frees it
+    states = [stack]
+    del stack   # the walk holds the only reference, so its first level frees the stack
+    return walk(states.pop(), 0, 0)[plan.leaf_order]
 
 
 def _correction(pattern: MeasurementPattern, outcomes: dict) -> PauliString:
@@ -282,11 +360,6 @@ def _correction(pattern: MeasurementPattern, outcomes: dict) -> PauliString:
         if sum(outcomes[src] for src in rule.sources) % 2:
             corr = PauliString.single(len(kept), kept.index(rule.target), rule.pauli) * corr
     return corr
-
-
-def _branch_correction(pattern: MeasurementPattern, outcomes: dict) -> np.ndarray:
-    """The byproduct matrix of one outcome vector, as the branch table holds it."""
-    return _correction(pattern, outcomes).matrix()
 
 
 def _branches(registry: PatternRegistry, gate: GateKind) -> tuple:
@@ -304,7 +377,8 @@ def _branches(registry: PatternRegistry, gate: GateKind) -> tuple:
     distinct = {s: i for i, s in enumerate(dict.fromkeys(strings))}
     matrices = np.array([s.matrix() for s in distinct])
     corrections = read_only(matrices[[distinct[s] for s in strings]])
-    leaves = _walk_branches(pattern, gate.theta, registry.cluster_state(gate))
+    plan = _plan(registry, gate, {})
+    leaves = _walk_branches(plan, _gather(plan, registry.cluster_state(gate)))
     probs = np.trace(leaves, axis1=1, axis2=2).real
     first = int(np.argmax(probs > BRANCH_EPS))
     corr = corrections[first]
@@ -325,14 +399,14 @@ def mbqc_oracle(
     registry = registry or default_registry()
     pattern = registry.pattern_for(gate)
     resolved = resolve_assignment(pattern, assignment or {})
-    # Build the branch table first, and pass the noisy state on unnamed, so
-    # that one walk and one copy of the state are alive at a time.
+    # Build the branch table first, and pass the noisy stack on unnamed, so
+    # that one walk and one noisy stack are alive at a time.
     ideal, corrections = registry.cached(
         "branches", gate.kind, gate.theta, functools.partial(_branches, registry, gate)
     )
-    leaves = _walk_branches(
-        pattern, gate.theta, apply_assignment(registry.cluster_state(gate), resolved)
-    )
+    plan = _plan(registry, gate, resolved)
+    leaves = _walk_branches(plan, apply_assignment(
+        _gather(plan, registry.cluster_state(gate)), resolved, plan.layout, plan.sliced))
     corrected = corrections @ leaves @ corrections.conj().transpose(0, 2, 1)
     probs = np.trace(leaves, axis1=1, axis2=2).real.tolist()
     # prob * Tr(sigma_m sigma) with sigma_m = corrected / prob

@@ -97,6 +97,21 @@ class TestConstructors:
         assert KrausChannel("phase", 0.0, (np.diag([1, 1j]),)).diagonal
         assert not random_channel(np.arange(1.0, 17.0)).diagonal
 
+    @pytest.mark.parametrize("name", sorted(BUILTIN_CHANNELS))
+    def test_no_builtin_mixes_blocks(self, name):
+        for p in (0.0, 0.3, 1.0):
+            assert not BUILTIN_CHANNELS[name](p).mixes_blocks
+
+    def test_two_nonzero_entries_in_a_kraus_row_mix_blocks(self):
+        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        assert KrausChannel("h", 0.0, (hadamard,)).mixes_blocks
+        # a column with two nonzero entries alone does not
+        lower = np.array([[1, 0], [0, 0]])
+        assert not KrausChannel("reset", 0.0, (lower, np.array([[0, 1], [0, 0]]))).mixes_blocks
+        channel = KrausChannel("h", 0.0, (hadamard,))
+        assert "mixes_blocks" not in vars(channel)
+        assert channel.mixes_blocks and vars(channel)["mixes_blocks"] is True
+
     def test_diagonal_is_computed_once_per_channel(self):
         # a channel of its own: the built-in families share theirs
         channel = KrausChannel("bitflip", 0.2, bit_flip(0.2).operators)
@@ -295,6 +310,44 @@ class TestApplyAssignment:
         with pytest.raises(ValueError, match="qubit 5 outside 0..2"):
             apply_assignment(random_density_matrix(rng, 3), {0: bit_flip(0.1), 5: bit_flip(0.1)})
         assert qubits == []
+
+
+class TestSlicedStack:
+    """``apply_assignment`` on a stack holding some qubits by their diagonal blocks."""
+
+    LAYOUT, SLICED = (3, 0, 4), (1, 2)
+
+    def stack(self, mat):
+        """The diagonal blocks of qubits 1 and 2 of a 5-qubit ``mat``, the rest in ``LAYOUT``."""
+        t = mat.reshape((2,) * 10)
+        # a sliced qubit's column axis takes its row axis's label
+        out = [*self.SLICED, *self.LAYOUT, *(5 + q for q in self.LAYOUT)]
+        view = np.einsum(t, [0, 1, 2, 3, 4, 5, 1, 2, 8, 9], out)
+        return np.ascontiguousarray(view).reshape(4, 8, 8)
+
+    def test_builtins_are_bitwise_the_whole_state(self, rng):
+        mat = random_density_matrix(rng, 5)
+        families = list(BUILTIN_CHANNELS.values())
+        for _ in range(6):
+            qubits = rng.choice(5, size=int(rng.integers(1, 6)), replace=False)
+            assignment = {int(q): families[int(rng.integers(4))](float(rng.uniform(0, 1)))
+                          for q in qubits}
+            sliced = apply_assignment(self.stack(mat), assignment, self.LAYOUT, self.SLICED)
+            assert np.array_equal(sliced, self.stack(apply_assignment(mat, assignment)))
+
+    def test_a_channel_that_mixes_blocks_is_refused_on_a_sliced_qubit(self, rng):
+        channel = random_channel(np.arange(1.0, 17.0))
+        assert channel.mixes_blocks
+        stack = self.stack(random_density_matrix(rng, 5))
+        with pytest.raises(ValueError, match="read an off-diagonal block"):
+            apply_assignment(stack, {2: channel}, self.LAYOUT, self.SLICED)
+        # on a layout qubit it runs as on the whole state
+        apply_assignment(stack, {4: channel}, self.LAYOUT, self.SLICED)
+
+    def test_out_of_range_target_is_refused(self, rng):
+        stack = self.stack(random_density_matrix(rng, 5))
+        with pytest.raises(ValueError, match="qubit 5 outside 0..4"):
+            apply_assignment(stack, {5: bit_flip(0.1)}, self.LAYOUT, self.SLICED)
 
 
 def _original_axes_reference(mat, assignment):

@@ -359,9 +359,10 @@ class TestOracle:
     @pytest.mark.parametrize("gate", [IDENTITY, HADAMARD, z_rotation(1.1), CONTROLLED_Z], ids=str)
     def test_each_level_is_two_batched_contractions(self, gate, monkeypatch):
         # the walk projects all branches of a level at once, one row-side and
-        # one column-side contraction per measured qubit, where the walk
-        # before took 2^(k+1) - 2 projections; a cold call first walks the
-        # noiseless state for the branch table, as many more
+        # one column-side contraction per walked qubit; a Z-measured qubit
+        # whose channel keeps its diagonal blocks apart is a branch bit from
+        # the start and has no level; a cold call first walks the noiseless
+        # state for the branch table, as many more
         registry = load_registry()
         calls = []
         contract = fidelity._contract
@@ -373,11 +374,12 @@ class TestOracle:
         monkeypatch.setattr(fidelity, "_contract", counting)
         pattern = registry.pattern_for(gate)
         assignment = {pattern.labels[1]: dephasing(0.2)}
+        walked = [lab for lab in pattern.measure_order if pattern.bases[lab].axis != "Z"]
         mbqc_oracle(gate, assignment, registry)
-        assert len(calls) == 4 * len(pattern.measure_order)
+        assert len(calls) == 4 * len(walked)
         calls.clear()
         mbqc_oracle(gate, assignment, registry)
-        assert len(calls) == 2 * len(pattern.measure_order)
+        assert len(calls) == 2 * len(walked)
 
     def test_branch_table_is_kept_in_the_registry_for_the_latest_angle(self):
         registry = load_registry()
@@ -449,9 +451,9 @@ def _counting_apply(monkeypatch) -> list:
     calls = []
     apply = fidelity.apply_assignment
 
-    def counting(mat, assignment):
+    def counting(mat, assignment, *stack_axes):
         calls.append(assignment)
-        return apply(mat, assignment)
+        return apply(mat, assignment, *stack_axes)
 
     monkeypatch.setattr(fidelity, "apply_assignment", counting)
     return calls
@@ -601,11 +603,20 @@ def _unpermuted_walk(pattern, theta, rho):
     yield from walk(rho, {})
 
 
-def _walk(pattern, theta, rho) -> list:
+def _walk_stack(pattern, theta, rho, resolved=None):
+    """The walk of ``rho`` under the channels ``resolved``, as ``mbqc_oracle`` walks the
+    pristine state: sliced and gathered into its walk plan, the channels applied to the stack."""
+    resolved = resolved or {}
+    plan = fidelity._walk_plan(pattern, theta, fidelity._sliced(pattern, resolved))
+    stack = apply_assignment(fidelity._gather(plan, rho), resolved, plan.layout, plan.sliced)
+    return fidelity._walk_branches(plan, stack)
+
+
+def _walk(pattern, theta, rho, resolved=None) -> list:
     """The walk's stack as ``(outcomes, reduced branch)`` pairs, in ``itertools.product`` order."""
     order = pattern.measure_order
     vectors = itertools.product((0, 1), repeat=len(order))
-    stack = fidelity._walk_branches(pattern, theta, rho)
+    stack = _walk_stack(pattern, theta, rho, resolved)
     return [(dict(zip(order, bits)), reduced) for bits, reduced in zip(vectors, stack, strict=True)]
 
 
@@ -621,9 +632,10 @@ def test_walk_matches_unpermuted_reference_bitwise(registry, rng, gate):
         str(lab): families[int(rng.integers(len(families)))](float(rng.uniform(0.05, 0.9)))
         for lab in labels
     }
-    noisy = apply_assignment(clean, resolve_assignment(pattern, assignment))
-    for rho in (clean, noisy):
-        walked = _walk(pattern, gate.theta, rho)
+    resolved = resolve_assignment(pattern, assignment)
+    noisy = apply_assignment(clean, resolved)
+    for rho, channels in ((clean, {}), (noisy, resolved)):
+        walked = _walk(pattern, gate.theta, clean, channels)
         reference = list(_unpermuted_walk(pattern, gate.theta, rho))
         assert len(walked) == len(reference) == 2 ** len(pattern.measure_order)
         for (outcomes, reduced), (ref_outcomes, ref_reduced) in zip(walked, reference):
@@ -652,9 +664,10 @@ def test_walk_with_a_y_basis_and_two_adaptive_qubits_is_bitwise_the_reference(
         str(lab): families[int(rng.integers(len(families)))](float(rng.uniform(0.05, 0.9)))
         for lab in rng.choice(labels, size=3, replace=False)
     }
-    noisy = apply_assignment(clean, resolve_assignment(pattern, assignment))
-    for rho in (clean, noisy):
-        walked = _walk(pattern, theta, rho)
+    resolved = resolve_assignment(pattern, assignment)
+    noisy = apply_assignment(clean, resolved)
+    for rho, channels in ((clean, {}), (noisy, resolved)):
+        walked = _walk(pattern, theta, clean, channels)
         reference = list(_unpermuted_walk(pattern, theta, rho))
         assert len(walked) == len(reference) == 2 ** len(order)
         for (outcomes, reduced), (ref_outcomes, ref_reduced) in zip(walked, reference):
@@ -676,12 +689,77 @@ def test_walk_under_general_kraus_maps_is_bitwise_the_reference(registry, rng, g
     pattern = registry.pattern_for(gate)
     for _ in range(5):
         chosen = rng.choice(pattern.labels, size=int(rng.integers(1, 4)), replace=False)
-        assignment = {str(lab): _custom_channel(rng) for lab in chosen}
-        rho = apply_assignment(registry.cluster_state(gate), resolve_assignment(pattern, assignment))
-        walked = fidelity._walk_branches(pattern, gate.theta, rho)
+        resolved = resolve_assignment(pattern, {str(lab): _custom_channel(rng) for lab in chosen})
+        clean = registry.cluster_state(gate)
+        walked = _walk_stack(pattern, gate.theta, clean, resolved)
+        rho = apply_assignment(clean, resolved)
         reference = [reduced for _, reduced in _unpermuted_walk(pattern, gate.theta, rho)]
         assert len(walked) == len(reference) == 2 ** len(pattern.measure_order)
         for reduced, ref_reduced in zip(walked, reference):
+            assert np.array_equal(reduced, ref_reduced)
+
+
+def _mixing_channel(rng) -> KrausChannel:
+    """A ``_custom_channel`` whose diagonal blocks read the off-diagonal ones."""
+    while not (channel := _custom_channel(rng)).mixes_blocks:
+        pass
+    return channel
+
+
+@pytest.mark.parametrize("gate", [IDENTITY, HADAMARD, z_rotation(1.1)], ids=str)
+def test_z_qubits_whose_channels_mix_blocks_are_walked_bitwise(registry, rng, gate):
+    # a channel with two nonzero entries in a Kraus row mixes the Z-measured
+    # qubit's blocks, so the qubit is walked as a level, not sliced
+    pattern = registry.pattern_for(gate)
+    z_labels = [lab for lab in pattern.measure_order if pattern.bases[lab].axis == "Z"]
+    clean = registry.cluster_state(gate)
+    for _ in range(4):
+        others = rng.choice([lab for lab in pattern.labels if lab not in z_labels], size=2,
+                            replace=False)
+        assignment = {**{lab: _mixing_channel(rng) for lab in z_labels},
+                      **{str(lab): _custom_channel(rng) for lab in others}}
+        resolved = resolve_assignment(pattern, assignment)
+        assert fidelity._sliced(pattern, resolved) == ()
+        walked = _walk_stack(pattern, gate.theta, clean, resolved)
+        rho = apply_assignment(clean, resolved)
+        reference = [reduced for _, reduced in _unpermuted_walk(pattern, gate.theta, rho)]
+        assert len(walked) == len(reference) == 2 ** len(pattern.measure_order)
+        for reduced, ref_reduced in zip(walked, reference):
+            assert np.array_equal(reduced, ref_reduced)
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.1, 2.9])
+def test_a_sliced_z_qubit_controlling_an_adaptive_one_is_bitwise_the_reference(
+    registry, rng, theta
+):
+    # Z-measured 2 and 6 are sliced into the top two bits of the branch
+    # index from the start, though 2 is measured second and 6 third;
+    # adaptive 3 reads its control off the sliced bit of 2, adaptive 4 off
+    # the walked bit of 0, and the leaves come back in measurement order
+    labels = tuple(str(i) for i in range(7))
+    order = ("0", "2", "6", "3", "4")
+    bases = (BasisSpec("X"), BasisSpec("Z"), BasisSpec("Z"), BasisSpec("adaptive", "2"),
+             BasisSpec("adaptive", "0"))
+    pattern = MeasurementPattern(
+        name="zrot", graph=Graph.chain(7), labels=labels, input_labels=("1",),
+        output_labels=("5",), measure_order=order, bases=dict(zip(order, bases)),
+    )
+    clean = registry.cluster_state(IDENTITY)   # the 7-qubit chain
+    families = list(BUILTIN_CHANNELS.values())
+    for _ in range(3):
+        chosen = ["2", "6", *rng.choice(["0", "1", "3", "4", "5"], size=2, replace=False)]
+        assignment = {
+            str(lab): families[int(rng.integers(len(families)))](float(rng.uniform(0.05, 0.9)))
+            for lab in chosen
+        }
+        resolved = resolve_assignment(pattern, assignment)
+        assert fidelity._sliced(pattern, resolved) == (2, 6)
+        walked = _walk(pattern, theta, clean, resolved)
+        rho = apply_assignment(clean, resolved)
+        reference = list(_unpermuted_walk(pattern, theta, rho))
+        assert len(walked) == len(reference) == 2 ** len(order)
+        for (outcomes, reduced), (ref_outcomes, ref_reduced) in zip(walked, reference):
+            assert outcomes == ref_outcomes
             assert np.array_equal(reduced, ref_reduced)
 
 
@@ -700,7 +778,7 @@ def test_branch_correction_is_the_embed_chain(registry, gate):
             if sum(outcomes[src] for src in rule.sources) % 2:
                 pos = kept.index(pattern.to_index(rule.target))
                 reference = embed(paulis[rule.pauli], [pos], m) @ reference
-        assert np.array_equal(fidelity._branch_correction(pattern, outcomes), reference)
+        assert np.array_equal(fidelity._correction(pattern, outcomes).matrix(), reference)
 
 
 def test_measurement_order_off_index_order(registry, rng):
