@@ -107,9 +107,9 @@ class KrausChannel:
 
         True when some Kraus operator has two nonzero entries in one row:
         then a ``kraus_table`` term of block (0, 0) or (1, 1) flips the row
-        bit and not the column bit. No built-in channel does. The branch
-        oracle holds a Z-measured qubit by its diagonal blocks only unless
-        its channel mixes them. Computed once per channel.
+        bit and not the column bit. No built-in channel does. On a Z-measured
+        qubit, the branch oracle then runs the channels on the whole state
+        before it slices the blocks. Computed once per channel.
         """
         diagonal_blocks = self.table[0] + self.table[3]
         return any(fa != fb for (fa, fb), _, _ in diagonal_blocks)
@@ -281,5 +281,5 @@ def apply_assignment(mat: np.ndarray, assignment: dict, layout: tuple | None = N
         if q in sliced:
             mat = apply_kraus_diagonal(mat, table, sliced.index(q))
         else:
-            mat = apply_kraus(mat, table, layout.index(q), len(layout))
+            mat = apply_kraus(mat, table, layout.index(q))
     return mat

@@ -149,7 +149,7 @@ def _sum_terms(block: np.ndarray, terms: list, row: np.ndarray, term: np.ndarray
             np.multiply(row, keb, out=block)
 
 
-def apply_kraus(mat: np.ndarray, table: tuple, qubit: int, num_qubits: int) -> np.ndarray:
+def apply_kraus(mat: np.ndarray, table: tuple, qubit: int) -> np.ndarray:
     """Return ``sum_K K rho K^dag`` on ``qubit``, from the ``kraus_table`` of 2x2 operators K.
 
     Works on the qubit's own tensor axes, without permuting: ``mat`` is
@@ -167,7 +167,11 @@ def apply_kraus(mat: np.ndarray, table: tuple, qubit: int, num_qubits: int) -> n
     the same order, as ``conjugate_on_qubit`` plus accumulation gives: the
     two agree bit for bit. A general operator sums up to four products per
     entry, rounded in another order, so there they agree to about 1e-16.
+    The qubit count is read off the last axis, which must be a power of two.
     """
+    num_qubits = mat.shape[-1].bit_length() - 1
+    if mat.shape[-1] != 2**num_qubits:
+        raise ValueError(f"dimension {mat.shape[-1]} is not a power of two")
     if not (0 <= qubit < num_qubits):
         raise ValueError(f"qubit {qubit} out of range for {num_qubits} qubits")
     left = 2**qubit

@@ -2,17 +2,17 @@
 
 ``fidelity_formula`` evaluates the closed-form witness expectation on the
 noisy cluster state. ``mbqc_oracle`` knows nothing about witnesses: a
-Z measurement removes its qubit from the cluster, so it first slices each
-Z-measured qubit into a branch bit, copying only that qubit's diagonal
-blocks of the pristine state, and applies the channels to that stack. It
-then walks the other measurement outcomes level by level in measurement
-order, projecting the stack of all branches so far on both outcomes of the
-next qubit at once (the outcome-adapted basis reads its control outcome off
-each branch) and tracing each X- or Y-measured qubit out as soon as it is
-projected, so such a level holds half the entries of the one above. It
-reduces each branch to the kept qubits bit for bit as a trace at the leaf
-would, applies the byproduct corrections, and averages Tr(sigma_m sigma)
-under the noisy branch probabilities against one ideal output sigma: the
+Z measurement removes its qubit from the cluster, so it holds each
+Z-measured qubit as a branch bit, copying only that qubit's diagonal
+blocks of the noisy state (``_noisy_stack``). It then walks the other
+outcomes level by level in measurement order, projecting the stack of all
+branches so far on both outcomes of the next qubit at once (the
+outcome-adapted basis reads its control outcome off each branch) and
+tracing each X- or Y-measured qubit out as soon as it is projected, so
+such a level holds half the entries of the one above. It reduces each
+branch to the kept qubits bit for bit as a trace at the leaf would,
+applies the byproduct corrections, and averages Tr(sigma_m sigma) under
+the noisy branch probabilities against one ideal output sigma: the
 byproducts make every branch realize the same gate, so a wrong byproduct
 table lowers the value. The two must agree; ``cross_validate`` reports the
 worst difference. Both return a ``FidelityResult``; the oracle's also holds
@@ -20,14 +20,14 @@ the probability of each branch it weighed (``branch_probabilities``).
 
 The two evaluators share the engine, the registry and ``apply_assignment``,
 but no intermediate: each applies the channels to the registry's pristine
-cluster state itself, the oracle to its sliced stack. The formula reads the
-witness only where it is nonzero, so no dense witness is needed, and it
-applies there alone its highest non-diagonal channel and every diagonal
-channel above it, and sums there in ``np.sum``'s order. The registry keeps what each gate needs again
+cluster state itself. The formula reads the witness only where it is
+nonzero, so no dense witness is needed, and it applies there alone its
+highest non-diagonal channel and every diagonal channel above it, and sums
+there in ``np.sum``'s order. The registry keeps what each gate needs again
 (its cluster state, witness support with its sum plan, the support's
-grouping and classes per noisy qubit, branch table, and walk plan per set
-of sliced qubits) for the latest theta only. Assignments are keyed by
-qubit label and checked by ``MeasurementPattern.check_labels``.
+grouping and classes per noisy qubit, branch table, and walk plan) for the
+latest theta only. Assignments are keyed by qubit label and checked by
+``MeasurementPattern.check_labels``.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class FidelityResult:
     assignment: str          # human-readable summary of the noise assignment
     raw_value: float         # unclipped, for tolerance checks
     method: str              # 'formula' | 'oracle'
-    branch_probabilities: tuple = ()   # the oracle's weighted branches, in walk order
+    branch_probabilities: tuple = ()   # the oracle's weighted branches, in itertools.product order
 
     def __post_init__(self):
         if not (-1e-9 <= self.raw_value <= 1 + 1e-9):
@@ -175,42 +175,34 @@ def _contract(ops: np.ndarray, stack: np.ndarray, lead: tuple) -> np.ndarray:
 
 
 class _WalkPlan(NamedTuple):
-    """What a walk needs of the pattern, the angle and the sliced qubits (``_walk_plan``)."""
+    """What a walk needs of the pattern and the angle (``_walk_plan``)."""
 
-    sliced: tuple       # the Z-measured qubits held as branch bits, ascending
+    sliced: tuple       # the Z-measured qubits, held as branch bits, ascending
     layout: tuple       # qubit layout[i] on tensor axis i of every walked state
     gather: tuple       # np.einsum's axis labels in and out, slicing the state into the stack
-    levels: tuple       # per walked qubit: axis, projector rows, control's shift, basis
+    levels: tuple       # per walked qubit: axis, projector rows, and an adaptive one's shift
     widths: tuple       # the qubits on the axes before the first level and after each
     adaptive: int       # how many adaptive axes the leaves trace out
     leaf_order: np.ndarray   # the walk's index of each outcome vector, in product order
 
 
-def _sliced(pattern: MeasurementPattern, resolved: dict) -> tuple:
-    """The Z-measured qubits the walk holds as branch bits, ascending: all but
-    those whose channel mixes the diagonal blocks (``KrausChannel.mixes_blocks``)."""
-    return tuple(sorted(
-        q for q in (pattern.to_index(lab) for lab in pattern.measure_order
-                    if pattern.bases[lab].axis == "Z")
-        if not (q in resolved and resolved[q].mixes_blocks)
-    ))
-
-
-def _walk_plan(pattern: MeasurementPattern, theta: float, sliced: tuple) -> _WalkPlan:
+def _walk_plan(pattern: MeasurementPattern, theta: float) -> _WalkPlan:
     """The layout, level projectors, widths and outcome-bit order of a walk.
 
     The stack's branch index holds one outcome bit per measured qubit, from
-    the top: the ``sliced`` qubits' in ascending order, then the walked
-    qubits' in measurement order, each appended below the others as its
-    level is walked. An adaptive level reads its control's bit off that
-    index, and ``leaf_order`` puts the leaves in ``itertools.product``
+    the top: the Z-measured qubits' in ascending order (``sliced``), then
+    the walked qubits' in measurement order, each appended below the others
+    as its level is walked. An adaptive level reads its control's bit off
+    that index, and ``leaf_order`` puts the leaves in ``itertools.product``
     order over ``measure_order``. The walked qubits lead the layout in
     measurement order, followed by the kept qubits in ascending order; the
     adaptive qubits' slots are filled highest index first, so the leaf adds
     their axes in the order a trace on the state's own axes does.
     """
     order = pattern.measure_order
-    walked = [lab for lab in order if pattern.to_index(lab) not in sliced]
+    sliced = tuple(sorted(pattern.to_index(lab) for lab in order
+                          if pattern.bases[lab].axis == "Z"))
+    walked = [lab for lab in order if pattern.bases[lab].axis != "Z"]
     adaptive = [i for i, lab in enumerate(walked) if pattern.bases[lab].axis == "adaptive"]
     measured = [pattern.to_index(lab) for lab in walked]
     for slot, q in zip(adaptive, sorted((measured[i] for i in adaptive), reverse=True)):
@@ -234,11 +226,10 @@ def _walk_plan(pattern: MeasurementPattern, theta: float, sliced: tuple) -> _Wal
             ops = np.array([projectors(basis.operator(theta, c)) for c in (0, 1)])[:, :, None]
             shift = len(sliced) + depth - 1 - top[basis.control]
         else:
-            # (1, outcome, 1, 1, 2): each outcome's row of the block the trace keeps
-            keep = (0, 1) if basis.axis == "Z" else (0, 0)
-            ops = projectors(basis.operator(theta))[(0, 1), keep][None, :, None, None]
+            # (1, outcome, 1, 1, 2): each outcome's row 0, the block the trace keeps
+            ops = projectors(basis.operator(theta))[:, [0]][None, :, None]
             axes.remove(qubit)
-        levels.append((axis, ops, shift, basis.axis))
+        levels.append((axis, ops, shift))
         widths.append(len(axes))
     n = pattern.graph.num_vertices
     # a sliced qubit's column axis takes its row axis's label: einsum keeps their diagonal
@@ -250,12 +241,10 @@ def _walk_plan(pattern: MeasurementPattern, theta: float, sliced: tuple) -> _Wal
                      len(adaptive), read_only(leaf_order))
 
 
-def _plan(registry: PatternRegistry, gate: GateKind, resolved: dict) -> _WalkPlan:
-    """The gate's ``_walk_plan`` for the qubits the channels ``resolved`` let it slice, cached."""
-    pattern = registry.pattern_for(gate)
-    sliced = _sliced(pattern, resolved)
-    return registry.cached(("walk", sliced), gate.kind, gate.theta,
-                           functools.partial(_walk_plan, pattern, gate.theta, sliced))
+def _plan(registry: PatternRegistry, gate: GateKind) -> _WalkPlan:
+    """The gate's ``_walk_plan``, cached."""
+    return registry.cached("walk", gate.kind, gate.theta, functools.partial(
+        _walk_plan, registry.pattern_for(gate), gate.theta))
 
 
 def _gather(plan: _WalkPlan, rho: np.ndarray) -> np.ndarray:
@@ -267,43 +256,51 @@ def _gather(plan: _WalkPlan, rho: np.ndarray) -> np.ndarray:
     blocks, 1 - 2^-z of the state, are never copied.
     """
     dim = 2 ** len(plan.layout)
-    num_qubits = len(plan.sliced) + len(plan.layout)
-    view = np.einsum(rho.reshape((2,) * (2 * num_qubits)), *plan.gather)
+    view = np.einsum(rho.reshape((2,) * len(plan.gather[0])), *plan.gather)
     return np.ascontiguousarray(view).reshape(-1, dim, dim)
+
+
+def _noisy_stack(plan: _WalkPlan, rho: np.ndarray, resolved: dict) -> np.ndarray:
+    """``_gather``'s stack of ``rho`` under the channels ``resolved``, bitwise.
+
+    A sliced qubit's projector keeps one diagonal block and the trace drops
+    the other, so the walk starts with one branch per diagonal block: a
+    projected level would give the same but for the sign of a zero, which no
+    weighted probability or fidelity can carry. The channels run on the
+    stack, each entry rounded as on the whole state, unless a sliced qubit's
+    channel mixes the blocks (``KrausChannel.mixes_blocks``) or none is
+    sliced (cz): then they run on ``rho`` in ascending qubit order, and the
+    noisy state is gathered.
+    """
+    if plan.sliced and not any(resolved[q].mixes_blocks for q in plan.sliced if q in resolved):
+        return apply_assignment(_gather(plan, rho), resolved, plan.layout, plan.sliced)
+    return _gather(plan, apply_assignment(rho, resolved))
 
 
 def _walk_branches(plan: _WalkPlan, stack: np.ndarray) -> np.ndarray:
     """The reduced branch of every outcome vector of the pattern, as one ``(2^k, d, d)`` stack.
 
-    ``stack`` is ``_gather``'s, with any channels applied; passed on
-    unnamed, it is freed by the first level. The branches come in
-    ``itertools.product`` order over ``measure_order``; each is the
-    unnormalized state of the kept qubits, bitwise the one that projecting
-    on the state's own axes and then tracing the measured qubits out
-    highest index first gives.
+    ``stack`` is ``_noisy_stack``'s; passed on unnamed, it is freed by the
+    first level. The branches come in ``itertools.product`` order over
+    ``measure_order``; each is the unnormalized state of the kept qubits,
+    bitwise the one that projecting on the state's own axes and then
+    tracing the measured qubits out highest index first gives.
 
-    A Z-measured qubit's projector keeps one diagonal block and the trace
-    drops the other, so a sliced qubit is a branch bit from the start: the
-    walk starts with 2^z branches, one per diagonal block. What the Z level
-    formed, ``1*x + 0*y`` and then ``+ 0.0``, is ``x`` but for the sign of a
-    zero, which no weighted probability or fidelity can carry, and every
-    other step reads only entries of the same block.
-
-    The walk then goes level by level over the other measured qubits: the
-    stack of the branches so far is projected on the next one for both
-    outcomes at once, by one row-side and one column-side ``_contract``, so
-    each branch gets the same 2 x 2 @ 2 x M products ``conjugate_on_qubit``
-    formed. An adaptive level stacks, for each branch, the projectors its
-    control outcome picks, read off the bit of the branch index. A qubit
-    measured in X, Y or Z is traced out at once, so the stack shrinks 2x per
-    such level: the projector leaves it in a product state with the rest,
-    so the trace's two diagonal blocks are bitwise equal (X, Y) or one is
-    zero (Z), and only the block the trace keeps is formed, with the
-    projector's row 0 (X, Y) or its row ``bit`` (Z); it is then doubled, or
-    has 0.0 added, as the trace added the other block. An adaptive qubit's
-    blocks differ in their last bits, so its axis stays to the leaf, where
-    the adaptive axes are traced lowest axis first, as ``partial_trace_raw``
-    does.
+    The stack starts with one branch per diagonal block of the sliced
+    qubits, and the walk goes level by level over the other measured
+    qubits: the stack of the branches so far is projected on the next one
+    for both outcomes at once, by one row-side and one column-side
+    ``_contract``, so each branch gets the same 2 x 2 @ 2 x M products
+    ``conjugate_on_qubit`` formed. An adaptive level stacks, for each
+    branch, the projectors its control outcome picks, read off the bit of
+    the branch index. A qubit measured in X or Y is traced out at once, so
+    the stack shrinks 2x per such level: the projector leaves it in a
+    product state with the rest, so the trace's two diagonal blocks are
+    bitwise equal, and only the one the trace keeps is formed, with the
+    projector's row 0; it is then doubled, as the trace added the other
+    block. An adaptive qubit's blocks differ in their last bits, so its axis
+    stays to the leaf, where the adaptive axes are traced lowest axis first,
+    as ``partial_trace_raw`` does.
 
     An adaptive level doubles the stack. Where the next level would hold
     more entries than the gathered stack, the stack is walked in chunks, as
@@ -316,15 +313,13 @@ def _walk_branches(plan: _WalkPlan, stack: np.ndarray) -> np.ndarray:
         """The leaves below ``stack``, branches ``first, first + 1, ...`` after ``depth`` levels."""
         for depth in range(depth, len(levels)):
             count = len(stack)
-            # a level that would outgrow the gathered stack is walked in
-            # chunks, as many as keep every later level within it
             if count > 1 and count << 1 + 2 * widths[depth + 1] > budget:
                 most = max(count << d - depth + 2 * widths[d]
                            for d in range(depth + 1, len(widths)))
                 chunk = max(count * budget // most, 1)
                 return np.concatenate([walk(stack[i:i + chunk], first + i, depth)
                                        for i in range(0, count, chunk)])
-            axis, ops, shift, kind = levels[depth]
+            axis, ops, shift = levels[depth]
             if shift is not None:
                 ops = ops[(np.arange(first, first + count) >> shift) & 1]
             dim = stack.shape[1]
@@ -333,10 +328,8 @@ def _walk_branches(plan: _WalkPlan, stack: np.ndarray) -> np.ndarray:
             half = dim * ops.shape[3] // 2   # the kept rows: dim, or dim/2 on a traced qubit
             stack = _contract(ops.conj(), rows, (count, 2, half << axis)).reshape(-1, half, half)
             del rows
-            if kind in ("X", "Y"):
+            if shift is None:
                 stack += stack
-            elif kind == "Z":
-                stack += 0.0
             first *= 2
         if plan.adaptive:
             leaf_n = widths[-1]
@@ -364,7 +357,9 @@ def _correction(pattern: MeasurementPattern, outcomes: dict) -> PauliString:
 
 def _branches(registry: PatternRegistry, gate: GateKind) -> tuple:
     """``(ideal, corrections)``: the output every branch must realize, and the
-    byproduct matrix of each outcome vector, stacked in walk order. Equal
+    byproduct matrix of each outcome vector, stacked in ``itertools.product``
+    order over ``measure_order``: ``_walk_branches`` holds the sliced
+    qubits' bits first and returns its leaves in that order. Equal
     Pauli strings give byte-identical matrices, so each distinct one is formed
     once and the outcome vectors index into them. The ideal is the first
     noiseless branch with weight, corrected by its own byproduct and
@@ -377,7 +372,7 @@ def _branches(registry: PatternRegistry, gate: GateKind) -> tuple:
     distinct = {s: i for i, s in enumerate(dict.fromkeys(strings))}
     matrices = np.array([s.matrix() for s in distinct])
     corrections = read_only(matrices[[distinct[s] for s in strings]])
-    plan = _plan(registry, gate, {})
+    plan = _plan(registry, gate)
     leaves = _walk_branches(plan, _gather(plan, registry.cluster_state(gate)))
     probs = np.trace(leaves, axis1=1, axis2=2).real
     first = int(np.argmax(probs > BRANCH_EPS))
@@ -404,9 +399,8 @@ def mbqc_oracle(
     ideal, corrections = registry.cached(
         "branches", gate.kind, gate.theta, functools.partial(_branches, registry, gate)
     )
-    plan = _plan(registry, gate, resolved)
-    leaves = _walk_branches(plan, apply_assignment(
-        _gather(plan, registry.cluster_state(gate)), resolved, plan.layout, plan.sliced))
+    plan = _plan(registry, gate)
+    leaves = _walk_branches(plan, _noisy_stack(plan, registry.cluster_state(gate), resolved))
     corrected = corrections @ leaves @ corrections.conj().transpose(0, 2, 1)
     probs = np.trace(leaves, axis1=1, axis2=2).real.tolist()
     # prob * Tr(sigma_m sigma) with sigma_m = corrected / prob

@@ -292,9 +292,9 @@ class TestApplyAssignment:
         """The ``qubit`` argument of every ``apply_kraus`` call channels make."""
         qubits = []
 
-        def recording(mat, table, qubit, num_qubits):
+        def recording(mat, table, qubit):
             qubits.append(qubit)
-            return apply_kraus(mat, table, qubit, num_qubits)
+            return apply_kraus(mat, table, qubit)
 
         monkeypatch.setattr(channels, "apply_kraus", recording)
         return qubits

@@ -155,7 +155,7 @@ class TestApplyKraus:
                     ops = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
                     lifted = [embed(op, [q], n) for op in ops]
                     direct = sum(k @ mat @ k.conj().T for k in lifted)
-                    out = apply_kraus(mat, kraus_table(ops), q, n)
+                    out = apply_kraus(mat, kraus_table(ops), q)
                     assert np.max(np.abs(out - direct)) <= 1e-14
 
     def test_blocks_no_operator_reaches_are_zero(self, rng):
@@ -164,17 +164,22 @@ class TestApplyKraus:
         mat = random_density_matrix(rng, 3)
         for q in range(3):
             lifted = embed(lower, [q], 3)
-            out = apply_kraus(mat, kraus_table([lower, np.zeros((2, 2))]), q, 3)
+            out = apply_kraus(mat, kraus_table([lower, np.zeros((2, 2))]), q)
             assert np.array_equal(out, lifted @ mat @ lifted.conj().T)
-            zero = apply_kraus(mat, kraus_table([np.zeros((2, 2))]), q, 3)
+            zero = apply_kraus(mat, kraus_table([np.zeros((2, 2))]), q)
             assert np.array_equal(zero, np.zeros_like(mat))
 
     def test_rejects_bad_args(self, rng):
         mat = random_density_matrix(rng, 2)
         with pytest.raises(ValueError):
-            apply_kraus(mat, kraus_table([np.eye(4)]), 0, 2)
-        with pytest.raises(ValueError):
-            apply_kraus(mat, kraus_table([X]), 2, 2)
+            apply_kraus(mat, kraus_table([np.eye(4)]), 0)
+        with pytest.raises(ValueError, match="out of range for 2 qubits"):
+            apply_kraus(mat, kraus_table([X]), 2)
+        with pytest.raises(ValueError, match="out of range for 2 qubits"):
+            apply_kraus(mat[None], kraus_table([X]), -1)
+        for dim in (0, 3, 6):
+            with pytest.raises(ValueError, match=f"dimension {dim} is not a power of two"):
+                apply_kraus(np.zeros((dim, dim), dtype=complex), kraus_table([X]), 0)
 
 
 def _some_entries(rng, n) -> np.ndarray:
@@ -185,7 +190,7 @@ def _some_entries(rng, n) -> np.ndarray:
 
 def _dense(mat, ops, qubit, n):
     """``apply_kraus`` of the Kraus operators ``ops``, flattened in C order."""
-    return apply_kraus(mat, kraus_table(ops), qubit, n).reshape(-1)
+    return apply_kraus(mat, kraus_table(ops), qubit).reshape(-1)
 
 
 def _kraus_at(mat, ops, qubit, n, flat):

@@ -138,7 +138,7 @@ def kraus_calls(monkeypatch):
     calls = []
     apply = channels.apply_kraus
     monkeypatch.setattr(channels, "apply_kraus",
-                        lambda mat, ops, q, n: calls.append(q) or apply(mat, ops, q, n))
+                        lambda mat, ops, q: calls.append(q) or apply(mat, ops, q))
     return calls
 
 
@@ -220,7 +220,7 @@ def test_a_channel_builds_its_table_once_for_both_kernels(registry, rng, monkeyp
     monkeypatch.setattr(channels, "kraus_table", lambda ops: built.append(1) or build(ops))
     dense, at = channels.apply_kraus, fidelity.apply_kraus_at
     monkeypatch.setattr(channels, "apply_kraus",
-                        lambda mat, table, q, n: read.append(table) or dense(mat, table, q, n))
+                        lambda mat, table, q: read.append(table) or dense(mat, table, q))
     monkeypatch.setattr(fidelity, "apply_kraus_at",
                         lambda src, table, grouping: read.append(table) or at(src, table, grouping))
     for _ in range(2):
@@ -356,13 +356,14 @@ class TestOracle:
         assert abs(res.raw_value - ref.raw_value) <= 1e-9
         assert ref.branch_probabilities == ()
 
+    @pytest.mark.parametrize("mixing", [False, True], ids=["builtin", "mixing"])
     @pytest.mark.parametrize("gate", [IDENTITY, HADAMARD, z_rotation(1.1), CONTROLLED_Z], ids=str)
-    def test_each_level_is_two_batched_contractions(self, gate, monkeypatch):
+    def test_each_level_is_two_batched_contractions(self, gate, mixing, rng, monkeypatch):
         # the walk projects all branches of a level at once, one row-side and
-        # one column-side contraction per walked qubit; a Z-measured qubit
-        # whose channel keeps its diagonal blocks apart is a branch bit from
-        # the start and has no level; a cold call first walks the noiseless
-        # state for the branch table, as many more
+        # one column-side contraction per walked qubit; a Z-measured qubit is
+        # a branch bit from the start and has no level, whatever its channel;
+        # a cold call first walks the noiseless state for the branch table,
+        # as many more
         registry = load_registry()
         calls = []
         contract = fidelity._contract
@@ -375,11 +376,32 @@ class TestOracle:
         pattern = registry.pattern_for(gate)
         assignment = {pattern.labels[1]: dephasing(0.2)}
         walked = [lab for lab in pattern.measure_order if pattern.bases[lab].axis != "Z"]
+        if mixing:   # cz measures no qubit in Z, so it gets no mixing channel
+            assignment.update((lab, _mixing_channel(rng)) for lab in pattern.measure_order
+                              if lab not in walked)
         mbqc_oracle(gate, assignment, registry)
         assert len(calls) == 4 * len(walked)
         calls.clear()
         mbqc_oracle(gate, assignment, registry)
         assert len(calls) == 2 * len(walked)
+
+    def test_one_walk_plan_serves_mixing_and_builtin_channels(self, rng, monkeypatch):
+        # the plan depends on the pattern and the angle alone: a channel that
+        # mixes a Z-measured qubit's blocks changes where the channels run,
+        # not the walk, so the registry builds the plan once per gate and angle
+        registry = load_registry()
+        built = []
+        build = fidelity._walk_plan
+        monkeypatch.setattr(fidelity, "_walk_plan",
+                            lambda *args: built.append(args[1]) or build(*args))
+        gate = z_rotation(1.1)
+        z_label = next(lab for lab, basis in registry.pattern_for(gate).bases.items()
+                       if basis.axis == "Z")
+        for channel in (amplitude_damping(0.3), _mixing_channel(rng), dephasing(0.2)):
+            mbqc_oracle(gate, {z_label: channel}, registry)
+        assert built == [1.1]
+        mbqc_oracle(z_rotation(0.4), {z_label: _mixing_channel(rng)}, registry)
+        assert built == [1.1, 0.4]
 
     def test_branch_table_is_kept_in_the_registry_for_the_latest_angle(self):
         registry = load_registry()
@@ -605,11 +627,9 @@ def _unpermuted_walk(pattern, theta, rho):
 
 def _walk_stack(pattern, theta, rho, resolved=None):
     """The walk of ``rho`` under the channels ``resolved``, as ``mbqc_oracle`` walks the
-    pristine state: sliced and gathered into its walk plan, the channels applied to the stack."""
-    resolved = resolved or {}
-    plan = fidelity._walk_plan(pattern, theta, fidelity._sliced(pattern, resolved))
-    stack = apply_assignment(fidelity._gather(plan, rho), resolved, plan.layout, plan.sliced)
-    return fidelity._walk_branches(plan, stack)
+    pristine state: sliced and gathered into its walk plan, the channels applied."""
+    plan = fidelity._walk_plan(pattern, theta)
+    return fidelity._walk_branches(plan, fidelity._noisy_stack(plan, rho, resolved or {}))
 
 
 def _walk(pattern, theta, rho, resolved=None) -> list:
@@ -707,20 +727,32 @@ def _mixing_channel(rng) -> KrausChannel:
 
 
 @pytest.mark.parametrize("gate", [IDENTITY, HADAMARD, z_rotation(1.1)], ids=str)
-def test_z_qubits_whose_channels_mix_blocks_are_walked_bitwise(registry, rng, gate):
+def test_channels_that_mix_z_blocks_run_before_the_gather_bitwise(
+    registry, rng, monkeypatch, gate
+):
     # a channel with two nonzero entries in a Kraus row mixes the Z-measured
-    # qubit's blocks, so the qubit is walked as a level, not sliced
+    # qubit's blocks, so every channel runs on the whole state and the
+    # gather then slices the noisy state's diagonal blocks
     pattern = registry.pattern_for(gate)
+    ran_on = []   # the shape of each state the oracle's channels run on
+    apply = fidelity.apply_assignment
+    monkeypatch.setattr(fidelity, "apply_assignment",
+                        lambda mat, *args: ran_on.append(mat.shape) or apply(mat, *args))
     z_labels = [lab for lab in pattern.measure_order if pattern.bases[lab].axis == "Z"]
     clean = registry.cluster_state(gate)
     for _ in range(4):
         others = rng.choice([lab for lab in pattern.labels if lab not in z_labels], size=2,
                             replace=False)
-        assignment = {**{lab: _mixing_channel(rng) for lab in z_labels},
+        # some Z-measured qubits mix their blocks, the rest are amplitude damped
+        mixed = rng.choice(z_labels, size=int(rng.integers(1, len(z_labels) + 1)),
+                           replace=False)
+        assignment = {**{lab: amplitude_damping(0.3) for lab in z_labels},
+                      **{str(lab): _mixing_channel(rng) for lab in mixed},
                       **{str(lab): _custom_channel(rng) for lab in others}}
         resolved = resolve_assignment(pattern, assignment)
-        assert fidelity._sliced(pattern, resolved) == ()
+        ran_on.clear()
         walked = _walk_stack(pattern, gate.theta, clean, resolved)
+        assert ran_on == [clean.shape]
         rho = apply_assignment(clean, resolved)
         reference = [reduced for _, reduced in _unpermuted_walk(pattern, gate.theta, rho)]
         assert len(walked) == len(reference) == 2 ** len(pattern.measure_order)
@@ -753,7 +785,7 @@ def test_a_sliced_z_qubit_controlling_an_adaptive_one_is_bitwise_the_reference(
             for lab in chosen
         }
         resolved = resolve_assignment(pattern, assignment)
-        assert fidelity._sliced(pattern, resolved) == (2, 6)
+        assert fidelity._walk_plan(pattern, theta).sliced == (2, 6)
         walked = _walk(pattern, theta, clean, resolved)
         rho = apply_assignment(clean, resolved)
         reference = list(_unpermuted_walk(pattern, theta, rho))

@@ -15,7 +15,8 @@ with a non-diagonal channel on every qubit should peak near three states,
 while it applies the channels below the highest one to the whole state; the
 oracle should hold one gathered stack, the state's entries in the Z-measured
 qubits' diagonal blocks (a quarter of the state on identity and zrot, half
-on Hadamard, all of it on cz), until its first level is projected, and each
+on Hadamard, all of it on cz, whose channels run on the pristine state
+before the gather), until its first level is projected, and each
 level's stack, which halves at every traced qubit and doubles at every
 adaptive one; a walk whose stack would outgrow the gathered one goes on in
 chunks.
@@ -90,8 +91,10 @@ def test_warm_oracle_walks_one_copy_of_the_state(gate):
     # is projected, and the stack of both outcomes holds half the entries
     # of the one above it: the peak is a channel pass on the gathered stack,
     # its input, output and scratch (0.76 on identity and zrot, 1.51 on
-    # Hadamard, 2.75 on cz)
-    assert peak / state_bytes(registry, gate) <= 3.5
+    # Hadamard). cz slices no qubit, so its channel runs on the pristine
+    # state and the noisy state is gathered, never copied first (2.00)
+    bound = {"identity": 1.0, "zrot": 1.0, "hadamard": 1.6, "cz": 2.1}[gate.kind]
+    assert peak / state_bytes(registry, gate) <= bound
 
 
 @pytest.mark.parametrize("gate", GATES, ids=str)

@@ -11,7 +11,9 @@ Run from the root of a checkout (the package is imported from its ``src/``):
 - ``custom``:  the same fields for ``CUSTOM_ASSIGNMENTS`` assignments of 1-3
   qubits, each qubit under its own random CPTP channel of 1-4 Kraus
   operators, drawn from ``SEED``: the general-Kraus path, which the
-  built-in channels do not reach.
+  built-in channels do not reach. A random CPTP map on a Z-measured qubit
+  mixes its diagonal blocks, so this set also reaches the oracle's path
+  that runs the channels on the whole state before slicing it.
 - ``witness``: the bytes of each of those gates' witness matrix.
 - ``demos``:   the stdout of every script under ``demos/``.
 
