@@ -100,7 +100,7 @@ def cmd_curve(args) -> int:
     registry = load_registry(args.registry)
     gate = _gate_from_args(args)
     family = channel_family(args.channel)
-    grid = analysis.check_grid(_parse_grid(args.grid))
+    grid = _parse_grid(args.grid)
     qubits = _exposed_qubits(args.qubit, registry.pattern_for(gate))
 
     lines = [

@@ -1,7 +1,7 @@
 """Dense complex-matrix engine for small n-qubit density matrices.
 
 Everything here operates on plain ``numpy`` arrays of shape ``(2**n, 2**n)``
-with dtype ``complex128``; the states and witnesses the package caches are
+with dtype ``complex128``; the states and witnesses the package builds are
 such arrays, marked read-only so that no caller can alter a cached one.
 Qubit 0 is the most significant tensor factor throughout the package: for
 two qubits, ``embed(X, [0], 2)`` is ``X (x) I`` and ``embed(X, [1], 2)`` is
@@ -225,7 +225,7 @@ def block_grouping(flat: np.ndarray, qubit: int, num_qubits: int) -> tuple:
     block ``(c, e)``, the i-th of (0, 0), (0, 1), (1, 0), (1, 1), with c the
     qubit's row bit and e its column bit. ``order`` is read-only and
     ``bounds`` five ints. This is the sort ``apply_kraus_at`` needs; the
-    registry keeps it per gate and qubit (``PatternRegistry.support_grouping``).
+    formula keeps it per gate and qubit (``fidelity._grouping``).
     """
     if not (0 <= qubit < num_qubits):
         raise ValueError(f"qubit {qubit} out of range for {num_qubits} qubits")

@@ -23,10 +23,10 @@ but no intermediate: each applies the channels to the registry's pristine
 cluster state itself. The formula reads the witness only where it is
 nonzero, so no dense witness is needed, and it applies there alone its
 highest non-diagonal channel and every diagonal channel above it, and sums
-there in ``np.sum``'s order. The registry keeps what each gate needs again
-(its cluster state, witness support with its sum plan, the support's
-grouping and classes per noisy qubit, branch table, and walk plan) for the
-latest theta only. Assignments are keyed by qubit label and checked by
+there in ``np.sum``'s order. Each evaluator builds what it reads again per
+gate, and ``PatternRegistry.cached`` keeps it for the latest theta: the
+formula's support, its groupings and classes, and the oracle's walk plan
+and branch table. Assignments are keyed by qubit label and checked by
 ``MeasurementPattern.check_labels``.
 """
 
@@ -43,8 +43,11 @@ from .engine import (
     BRANCH_EPS,
     FlippedEntries,
     apply_kraus_at,
+    block_grouping,
+    pairwise_plan,
     pairwise_sum_at,
     read_only,
+    sign_classes,
 )
 # Unused here, but the benchmark tracer (perfbench/tracing.py) wraps these sites.
 from .engine import conjugate_on_qubit, expectation, partial_trace_raw  # noqa: F401
@@ -92,6 +95,64 @@ def resolve_assignment(pattern: MeasurementPattern, assignment: dict) -> dict:
     return {pattern.to_index(label): channel for label, channel in assignment.items()}
 
 
+# -- witness support -----------------------------------------------------------
+
+
+def _support(registry: PatternRegistry, gate: GateKind) -> tuple:
+    """``(flat, values, plan)``: where W^T is nonzero, W^T there, and how to sum it.
+
+    ``flat`` holds the C-order flat indices of the nonzero entries of W^T,
+    ascending, and ``values`` their entries; both are read-only. ``plan``
+    is ``engine.pairwise_plan`` of ``flat``, so that ``pairwise_sum_at`` of
+    products at the support is ``np.sum`` of the whole product matrix. W is
+    a product of (1 + S)/2 factors, each S a signed permutation, so a row of
+    W has at most 2^m nonzeros for m factors: 3-7 % of the matrix on the
+    bundled gates. The dense witness they are read from is not kept.
+    """
+    def build():
+        transposed = registry.witness_for(gate).T.reshape(-1)   # a view: W is column-major
+        flat = np.flatnonzero(transposed)
+        plan = pairwise_plan(flat, transposed.size)
+        return read_only(flat), read_only(transposed[flat]), plan
+
+    return registry.cached("support", gate.kind, gate.theta, build)
+
+
+def _grouping(registry: PatternRegistry, gate: GateKind, qubit: int) -> tuple:
+    """``engine.block_grouping`` of the witness support by ``qubit``'s block.
+
+    Cached as the artefact ``("grouping", qubit)``, so that the support is
+    sorted once per gate and qubit, not per call.
+    """
+    def build():
+        n = registry.pattern_for(gate).graph.num_vertices
+        return block_grouping(_support(registry, gate)[0], qubit, n)
+
+    return registry.cached(("grouping", qubit), gate.kind, gate.theta, build)
+
+
+def _classes(registry: PatternRegistry, gate: GateKind, qubit: int) -> tuple | None:
+    """``engine.sign_classes`` of the witness support on the pristine cluster state, or None.
+
+    ``(sources, grouping, expand)``: the support's classes of equal
+    ``apply_kraus_at`` inputs on ``qubit``, so that a channel applied to
+    the pristine state at the support runs on one member per class.
+    Building them costs more than one pass per entry, so the first request
+    per qubit and angle is only recorded under ``("requested", qubit)`` and
+    answered with None: a single call on a fresh registry, such as a
+    ``cli eval``, runs per entry. The second request builds and caches them.
+    """
+    marker = object()
+    if registry.cached(("requested", qubit), gate.kind, gate.theta, lambda: marker) is marker:
+        return None
+
+    def build():
+        n = registry.pattern_for(gate).graph.num_vertices
+        return sign_classes(registry.cluster_state(gate), _support(registry, gate)[0], qubit, n)
+
+    return registry.cached(("classes", qubit), gate.kind, gate.theta, build)
+
+
 def fidelity_formula(
     gate: GateKind,
     assignment: dict | None = None,
@@ -104,31 +165,29 @@ def fidelity_formula(
     (d F_e + 1)/(d + 1): bitflip(0.3) on a kept qubit of identity gives 0.7.
 
     Tr(rho W) is the sum of the elementwise product rho * W^T, and W^T is
-    nonzero at 3-7 % of its entries (``PatternRegistry.witness_support``).
-    The channels are applied in ascending qubit order, as
-    ``apply_assignment`` applies them, but only the ones the support cannot
-    do without run on the whole state. Scanning down from the highest noisy
-    qubit, each channel with diagonal Kraus operators
-    (``KrausChannel.diagonal``) maps an entry to a multiple of itself, so it
-    is applied at the support alone, to the entries the channels below it
-    left there. The first non-diagonal channel met reads the entries its
-    Kraus operators mix, so it is applied at the support to the dense state
-    that ``apply_assignment`` leaves after the channels below it. Each is
-    one ``engine.apply_kraus_at`` pass over the support grouped by its
-    qubit's block (``PatternRegistry.support_grouping``). When no channel
-    runs on the whole state, the first one at the support reads the
-    pristine cluster state, whose entries fall into a few dozen classes of
-    equal inputs (``PatternRegistry.support_classes``): from a qubit's
-    second such call at an angle on, it runs on one member per class, and
-    each entry takes its class's value. The products are summed by
-    ``engine.pairwise_sum_at`` in the order ``np.sum`` adds the whole
-    product, whose other entries are exact zeros, so the value keeps every
-    bit of the dense trace.
+    nonzero at 3-7 % of its entries (``_support``). The channels are applied
+    in ascending qubit order, as ``apply_assignment`` applies them, but only
+    the ones the support cannot do without run on the whole state. Scanning
+    down from the highest noisy qubit, each channel with diagonal Kraus
+    operators (``KrausChannel.diagonal``) maps an entry to a multiple of
+    itself, so it is applied at the support alone, to the entries the
+    channels below it left there. The first non-diagonal channel met reads
+    the entries its Kraus operators mix, so it is applied at the support to
+    the dense state that ``apply_assignment`` leaves after the channels
+    below it. Each is one ``engine.apply_kraus_at`` pass over the support
+    grouped by its qubit's block (``_grouping``). When no channel runs on
+    the whole state, the first one at the support reads the pristine cluster
+    state, whose entries fall into a few dozen classes of equal inputs
+    (``_classes``): from a qubit's second such call at an angle on, it runs
+    on one member per class, and each entry takes its class's value. The
+    products are summed by ``engine.pairwise_sum_at`` in the order
+    ``np.sum`` adds the whole product, whose other entries are exact zeros,
+    so the value keeps every bit of the dense trace.
     """
     registry = registry or default_registry()
     pattern = registry.pattern_for(gate)
     resolved = resolve_assignment(pattern, assignment or {})
-    flat, values, plan = registry.witness_support(gate)
+    flat, values, plan = _support(registry, gate)
     dense = sorted(resolved)
     at_support = []   # the channels applied at the support, ascending
     while dense and resolved[dense[-1]].diagonal:
@@ -138,11 +197,11 @@ def fidelity_formula(
     rho = apply_assignment(registry.cluster_state(gate), {q: resolved[q] for q in dense})
     first = at_support.pop(0) if at_support else None
     # with no channel on the whole state, the first one reads the pristine state
-    classes = None if first is None or dense else registry.support_classes(gate, first)
+    classes = None if first is None or dense else _classes(registry, gate, first)
     if first is None:
         entries = rho.reshape(-1)[flat]
     elif classes is None:
-        grouping = registry.support_grouping(gate, first)
+        grouping = _grouping(registry, gate, first)
         sources = FlippedEntries(rho, flat[grouping[0]], first, pattern.graph.num_vertices)
         entries = apply_kraus_at(sources, resolved[first].table, grouping)
         del sources  # it views the state
@@ -151,7 +210,7 @@ def fidelity_formula(
         entries = apply_kraus_at(sources, resolved[first].table, grouping)[expand]
     del rho  # hold no noisy state while the channels above run
     for q in at_support:
-        grouping = registry.support_grouping(gate, q)
+        grouping = _grouping(registry, gate, q)
         entries = apply_kraus_at({(0, 0): entries[grouping[0]]}, resolved[q].table, grouping)
     val = pairwise_sum_at(entries * values, plan)   # rho * W^T at the support, never in place
     if abs(val.imag) > 1e-10:

@@ -30,11 +30,11 @@ gates ``validate`` checks, and the sections a registry file may hold.
 ``GateKind`` alone refuses an angle on a gate other than zrot.
 A pattern maps labels to vertices and orders its kept qubits once;
 ``MeasurementPattern.check_labels`` is the one check of a list of labels.
-``PatternRegistry.cached`` is the one cache of what is built per gate
-(cluster state, the witness's nonzero entries that the formula reads with
-the plan of their sum, their grouping by each noisy qubit's block and their
-classes on the pristine state, the dense witness for the callers that ask
-for it, the oracle's branch table), for the latest theta.
+``PatternRegistry.cached`` is the one cache of what is built per gate, for
+the latest theta. The registry stores its own cluster states there; each
+evaluator in ``fidelity`` builds and stores its own artefacts (the
+formula's witness support, the oracle's walk plan and branch table).
+``witness_for`` builds the dense witness on every call and keeps nothing.
 """
 
 from __future__ import annotations
@@ -47,15 +47,7 @@ from importlib import resources
 
 import numpy as np
 
-from .engine import (
-    MAX_QUBITS,
-    CapacityError,
-    block_grouping,
-    expectation,
-    pairwise_plan,
-    read_only,
-    sign_classes,
-)
+from .engine import MAX_QUBITS, CapacityError, expectation, read_only
 from .graphs import Graph, PauliString, build_cluster_state, stabilizer
 
 #: The gate kinds, in the order the CLI and ``validate`` list them; a registry
@@ -258,77 +250,26 @@ class PatternRegistry:
         )
 
     def witness_for(self, gate: GateKind) -> np.ndarray:
-        """The (cached, read-only) witness: the product of its factors, in order.
+        """The read-only witness, built on every call: the product of its factors.
 
-        It is stored column-major (see ``_build_witness``). The formula does
-        not read it: it reads ``witness_support``, so that the dense matrix
-        is cached only for the callers that ask for it here.
+        The product runs from the last factor back, each (1 + S)/2 by a row
+        gather. It is column-major, so its transpose, the operand of the
+        trace ``sum(rho * W^T)``, is read in memory order.
         """
-        return self.cached("witness", gate.kind, gate.theta, lambda: self._build_witness(gate))
-
-    def witness_support(self, gate: GateKind) -> tuple:
-        """``(flat, values, plan)``: where W^T is nonzero, W^T there, and how to sum it.
-
-        ``flat`` holds the C-order flat indices of the nonzero entries of
-        W^T, ascending, and ``values`` their entries; both are read-only.
-        ``plan`` is ``engine.pairwise_plan`` of ``flat``, so that
-        ``engine.pairwise_sum_at(products, plan)`` of products at the
-        support is ``np.sum`` of the whole product matrix. W is a product of
-        (1 + S)/2 factors, each S a signed permutation, so a row of W has at
-        most 2^m nonzeros for m factors: 3-7 % of the matrix on the bundled
-        gates. The three are cached for the latest theta as one artefact;
-        the dense product they are read from is not kept.
-        """
-        def build():
-            transposed = self._build_witness(gate).T.reshape(-1)   # a view: W is column-major
-            flat = np.flatnonzero(transposed)
-            plan = pairwise_plan(flat, transposed.size)
-            return read_only(flat), read_only(transposed[flat]), plan
-
-        return self.cached("support", gate.kind, gate.theta, build)
-
-    def support_grouping(self, gate: GateKind, qubit: int) -> tuple:
-        """``engine.block_grouping`` of the witness support by ``qubit``'s block.
-
-        Built once per gate and qubit and cached as the artefact
-        ``("grouping", qubit)`` for the latest theta, so that
-        ``fidelity_formula`` sorts the support once, not per call. Only
-        ``(order, bounds)`` is kept; the grouped indices are gathered per call.
-        """
-        def build():
-            flat = self.witness_support(gate)[0]
-            return block_grouping(flat, qubit, self.pattern_for(gate).graph.num_vertices)
-
-        return self.cached(("grouping", qubit), gate.kind, gate.theta, build)
-
-    def support_classes(self, gate: GateKind, qubit: int) -> tuple | None:
-        """``engine.sign_classes`` of the witness support on the pristine cluster state, or None.
-
-        ``(sources, grouping, expand)``: the support's classes of equal
-        ``apply_kraus_at`` inputs on ``qubit``, so that a channel applied to
-        the pristine state at the support runs on one member per class.
-        Building them costs more than one pass per entry, so the first
-        request per qubit and angle is only recorded and answered with
-        None: a single call on a fresh registry, such as a ``cli eval``,
-        runs per entry. From the second request on they are cached
-        as the artefact ``("classes", qubit)`` for the latest theta; they
-        hold a few dozen sources and one index per support entry.
-        """
-        marker = object()
-        if self.cached(("requested", qubit), gate.kind, gate.theta, lambda: marker) is marker:
-            return None
-
-        def build():
-            n = self.pattern_for(gate).graph.num_vertices
-            return sign_classes(self.cluster_state(gate), self.witness_support(gate)[0], qubit, n)
-
-        return self.cached(("classes", qubit), gate.kind, gate.theta, build)
+        pat = self.pattern_for(gate)
+        if gate.kind == "zrot":
+            combined = self._rotation_factor(pat, gate.theta)
+        else:
+            combined = np.eye(2**pat.graph.num_vertices, dtype=complex)
+        for labels in reversed(_WITNESS_GROUPS[gate.kind]):
+            combined = self._stabs(pat, labels).project(combined)
+        return read_only(np.asfortranarray(combined))
 
     def witness_factors(self, gate: GateKind) -> Iterator[np.ndarray]:
         """Build the witness's factor matrices one at a time, in product order.
 
-        Nothing is cached: the registry keeps only the product, so a caller
-        that needs the factors holds one dense factor at a time.
+        Nothing is cached, so a caller that needs the factors holds one
+        dense factor at a time.
         """
         pat = self.pattern_for(gate)
         for labels in _WITNESS_GROUPS[gate.kind]:
@@ -343,22 +284,6 @@ class PatternRegistry:
         """The product of the labelled vertices' cluster stabilizers, in order."""
         stabs = (stabilizer(pat.graph, pat.to_index(lab)) for lab in labels)
         return functools.reduce(PauliString.__mul__, stabs, PauliString(pat.graph.num_vertices))
-
-    def _build_witness(self, gate: GateKind) -> np.ndarray:
-        """The product of the factors, from the last back, each (1 + S)/2 by a row gather.
-
-        The product is stored column-major, so its transpose, the operand of
-        the trace ``sum(rho * W^T)``, is read in memory order: as a C-order
-        view by ``witness_support``, and by ``expectation`` for ``validate``.
-        """
-        pat = self.pattern_for(gate)
-        if gate.kind == "zrot":
-            combined = self._rotation_factor(pat, gate.theta)
-        else:
-            combined = np.eye(2**pat.graph.num_vertices, dtype=complex)
-        for labels in reversed(_WITNESS_GROUPS[gate.kind]):
-            combined = self._stabs(pat, labels).project(combined)
-        return read_only(np.asfortranarray(combined))
 
     def _rotation_factor(self, pat: MeasurementPattern, theta: float) -> np.ndarray:
         """The angle-dependent factor of the Z-rotation witness.
@@ -546,9 +471,8 @@ def witness_expectation_noiseless(registry: PatternRegistry, gate: GateKind) -> 
     """Expectation of the gate's witness on its pristine cluster state.
 
     Equals 1 for a correct registry; ``cli.cmd_validate`` uses this as the
-    registry-correctness gate. The dense witness is built for the check and
-    not cached: the formula reads only the witness support, so ``validate``
-    would otherwise hold a dense witness per gate that nothing reads again.
+    registry-correctness gate. The dense witness is built for the check
+    alone: ``witness_for`` keeps none.
     """
     rho = registry.cluster_state(gate)
-    return expectation(rho, registry._build_witness(gate)).real
+    return expectation(rho, registry.witness_for(gate)).real

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from clusterfid import fidelity
 from clusterfid.channels import BUILTIN_CHANNELS
 from clusterfid.engine import (
     apply_kraus,
@@ -345,7 +346,7 @@ class TestPairwiseSumAt:
     def test_every_bundled_support_is_bitwise_np_sum(self, registry, rng):
         for gate in (IDENTITY, HADAMARD, z_rotation(0.7853981633974483), z_rotation(-2.3),
                      CONTROLLED_Z):
-            flat, values, plan = registry.witness_support(gate)
+            flat, values, plan = fidelity._support(registry, gate)
             size = 4 ** registry.pattern_for(gate).graph.num_vertices
             noisy = values * (1 + 0.1 * rng.normal(size=len(flat)))
             pristine = values * registry.cluster_state(gate).reshape(-1)[flat]
@@ -366,7 +367,7 @@ class TestSignClasses:
                                       CONTROLLED_Z], ids=str)
     def test_classes_are_bitwise_the_per_entry_kernel(self, registry, rng, gate):
         clean = registry.cluster_state(gate)
-        flat = registry.witness_support(gate)[0]
+        flat = fidelity._support(registry, gate)[0]
         n = registry.pattern_for(gate).graph.num_vertices
         for q in range(n):
             sources, grouping, expand = sign_classes(clean, flat, q, n)

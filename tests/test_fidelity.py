@@ -200,7 +200,7 @@ class TestSupportEvaluation:
         fidelity_formula(gate, {registry.pattern_for(gate).labels[0]: dephasing(0.2)}, registry)
         absent = object()
         assert registry.cached("witness", gate.kind, gate.theta, lambda: absent) is absent
-        flat, values, _ = registry.witness_support(gate)
+        flat, values, _ = fidelity._support(registry, gate)
         transposed = np.ascontiguousarray(load_registry().witness_for(gate).T).reshape(-1)
         assert np.array_equal(flat, np.flatnonzero(transposed))
         assert np.array_equal(values, transposed[flat])
@@ -284,14 +284,12 @@ class TestDiagonalChannelsAtTheSupport:
             assert value == _dense_trace(registry, gate, assignment)
 
     def test_groupings_and_classes_are_built_once_per_qubit_and_angle(self, monkeypatch):
-        from clusterfid import patterns
-
         registry = load_registry()
         built = []
-        group, classes = patterns.block_grouping, patterns.sign_classes
-        monkeypatch.setattr(patterns, "block_grouping",
+        group, classes = fidelity.block_grouping, fidelity.sign_classes
+        monkeypatch.setattr(fidelity, "block_grouping",
                             lambda flat, q, n: built.append(("grouping", q)) or group(flat, q, n))
-        monkeypatch.setattr(patterns, "sign_classes", lambda mat, flat, q, n:
+        monkeypatch.setattr(fidelity, "sign_classes", lambda mat, flat, q, n:
                             built.append(("classes", q)) or classes(mat, flat, q, n))
         labels = registry.pattern_for(z_rotation(0.3)).labels
         every = dict.fromkeys(labels, dephasing(0.2))

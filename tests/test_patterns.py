@@ -163,13 +163,14 @@ class TestWitness:
         f2 = fidelity_formula(z_rotation(0.8 + delta), noise, registry).raw_value
         assert abs(f1 - f2) <= 10 * delta
 
-    def test_witness_cache_keeps_the_latest_angle(self, registry):
+    @pytest.mark.parametrize("gate", ALL_GATES, ids=str)
+    def test_witness_is_built_per_call_and_not_cached(self, registry, gate):
         reg = PatternRegistry(dict(registry._patterns))
-        first = reg.witness_for(z_rotation(0.3))
-        assert reg.witness_for(z_rotation(0.3)) is first
-        assert not np.array_equal(reg.witness_for(z_rotation(0.9)), first)
-        again = reg.witness_for(z_rotation(0.3))
+        first = reg.witness_for(gate)
+        again = reg.witness_for(gate)
         assert again is not first and np.array_equal(again, first)
+        absent = object()
+        assert reg.cached("witness", gate.kind, gate.theta, lambda: absent) is absent
 
     def test_witness_cache_returns_equal_matrices_concurrently(self, registry):
         import threading
