@@ -373,9 +373,10 @@ def expectation(rho: np.ndarray, m: np.ndarray) -> complex:
     """Tr(rho M) as the sum of the elementwise product ``rho * M^T``.
 
     The product matrix ``rho @ M`` is never formed. The registry's witnesses
-    are column-major, so ``M^T`` is read in memory order when ``validate``
-    takes the noiseless witness expectation; any layout gives the same sum
-    bit for bit.
+    are column-major, so ``M^T`` is read in memory order; any layout gives
+    the same sum bit for bit. This is the dense reference of the sums that
+    read ``M`` only where it is nonzero (the formula's witness support and
+    ``PauliString.expectation``): they equal it bit for bit.
     """
     m = _as_matrix(m)
     if m.shape != rho.shape:

@@ -404,30 +404,39 @@ def _walk_branches(plan: _WalkPlan, stack: np.ndarray) -> np.ndarray:
     return walk(states.pop(), 0, 0)[plan.leaf_order]
 
 
-def _correction(pattern: MeasurementPattern, outcomes: dict) -> PauliString:
-    """The byproduct Pauli on the kept qubits; each rule that fires multiplies from the left."""
-    kept = pattern.kept_labels
-    corr = PauliString(len(kept))
-    for rule in pattern.byproducts:
-        if sum(outcomes[src] for src in rule.sources) % 2:
-            corr = PauliString.single(len(kept), kept.index(rule.target), rule.pauli) * corr
-    return corr
+def _corrections(pattern: MeasurementPattern) -> list:
+    """The byproduct Pauli on the kept qubits of every outcome vector, in
+    ``itertools.product`` order over ``measure_order``.
+
+    Each rule that fires, its sources' outcome bits summing odd, multiplies
+    from the left. A rule's Pauli is built once per table, not once per
+    outcome vector.
+    """
+    kept, order = pattern.kept_labels, pattern.measure_order
+    rules = [([order.index(src) for src in rule.sources],
+              PauliString.single(len(kept), kept.index(rule.target), rule.pauli))
+             for rule in pattern.byproducts]
+    strings = []
+    for bits in itertools.product((0, 1), repeat=len(order)):
+        corr = PauliString(len(kept))
+        for sources, pauli in rules:
+            if sum(bits[i] for i in sources) % 2:
+                corr = pauli * corr
+        strings.append(corr)
+    return strings
 
 
 def _branches(registry: PatternRegistry, gate: GateKind) -> tuple:
     """``(ideal, corrections)``: the output every branch must realize, and the
     byproduct matrix of each outcome vector, stacked in ``itertools.product``
-    order over ``measure_order``: ``_walk_branches`` holds the sliced
-    qubits' bits first and returns its leaves in that order. Equal
+    order over ``measure_order`` (``_corrections``): ``_walk_branches`` holds
+    the sliced qubits' bits first and returns its leaves in that order. Equal
     Pauli strings give byte-identical matrices, so each distinct one is formed
     once and the outcome vectors index into them. The ideal is the first
     noiseless branch with weight, corrected by its own byproduct and
     normalized. ``mbqc_oracle`` keeps the table in the registry.
     """
-    pattern = registry.pattern_for(gate)
-    order = pattern.measure_order
-    strings = [_correction(pattern, dict(zip(order, bits)))
-               for bits in itertools.product((0, 1), repeat=len(order))]
+    strings = _corrections(registry.pattern_for(gate))
     distinct = {s: i for i, s in enumerate(dict.fromkeys(strings))}
     matrices = np.array([s.matrix() for s in distinct])
     corrections = read_only(matrices[[distinct[s] for s in strings]])

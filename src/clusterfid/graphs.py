@@ -9,8 +9,9 @@ constructors are provided so they can cross-check each other.
 A Pauli string is an X mask, a Z mask and an exponent of i (Dehaene & De
 Moor, PRA 68, 042318 (2003)); a product XORs the masks and adds 2 to the
 exponent per qubit where the left Z meets the right X. As a signed permutation
-(Aaronson & Gottesman, PRA 70, 052328 (2004)), its matrix is one scatter and a
-product with ``(1 + P)/2`` one row gather. Letters are only parsed and printed.
+(Aaronson & Gottesman, PRA 70, 052328 (2004)), its matrix is one scatter, a
+product with ``(1 + P)/2`` one row gather, and its expectation on a state a
+sum over one entry per row. Letters are only parsed and printed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import MAX_QUBITS, CapacityError, read_only
+from .engine import MAX_QUBITS, CapacityError, pairwise_plan, pairwise_sum_at, read_only
 
 #: i**k for k = 0..3: the phase in front of a word's letters, and the unit of a column.
 _PHASES = (1 + 0j, 1j, -1 + 0j, 0 - 1j)
@@ -124,6 +125,21 @@ class PauliString:
         out = np.zeros((len(rows), len(rows)), dtype=complex)
         out[rows, np.arange(len(rows))] = values
         return out
+
+    def expectation(self, rho: np.ndarray) -> complex:
+        """Tr(rho P), read where P is nonzero: bit for bit ``engine.expectation(rho, P)``.
+
+        Tr(rho P) is the sum over columns c of ``rho[c, rows[c]] * values[c]``,
+        the entries of ``rho * P^T`` at the C-order flat indices
+        ``c * d + rows[c]``, one per row and ascending; ``engine.pairwise_sum_at``
+        adds them in the order ``np.sum`` adds the whole product.
+        """
+        rows, values = self.columns()
+        dim = len(rows)
+        if rho.shape != (dim, dim):
+            raise ValueError(f"operator on {self.num_qubits} qubits != state of shape {rho.shape}")
+        flat = np.arange(dim) * dim + rows
+        return pairwise_sum_at(rho.reshape(-1)[flat] * values, pairwise_plan(flat, dim * dim))
 
     def project(self, mat: np.ndarray) -> np.ndarray:
         """``(1 + P)/2 @ mat`` by a row gather, rounding each entry once as a GEMM does.

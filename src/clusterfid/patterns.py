@@ -19,8 +19,11 @@ built here from the pattern's stabilizers:
 - controlled-Z: (1 + K_a_in K3 K_a_out)/2 (1 + K_b_in K4 K_b_out)/2
                 (1 + K1 K4)/2 (1 + K2 K3)/2
 
-where K_l is the cluster stabilizer of the vertex labeled ``l``. The product
-is built from the last factor back, each (1 + S)/2 by a row gather. The
+where K_l is the cluster stabilizer of the vertex labeled ``l``. Every S of
+a (1 + S)/2 factor is a Pauli word (``PatternRegistry.witness_generators``),
+so ``cli.cmd_validate`` checks those factors by their algebra; only zrot's
+angle-dependent factor is checked as a matrix. The dense product is built
+from the last factor back, each (1 + S)/2 by a row gather. The
 expectation of the witness on the noisy pre-measurement cluster state
 equals the branch-averaged gate fidelity; ``cli.cmd_validate`` and the test
 suite hold the registry to that via the independent branch oracle.
@@ -47,7 +50,9 @@ from importlib import resources
 
 import numpy as np
 
-from .engine import MAX_QUBITS, CapacityError, expectation, read_only
+from .engine import MAX_QUBITS, CapacityError, read_only
+# Unused here, but the benchmark tracer (perfbench/tracing.py) wraps this site.
+from .engine import expectation  # noqa: F401
 from .graphs import Graph, PauliString, build_cluster_state, stabilizer
 
 #: The gate kinds, in the order the CLI and ``validate`` list them; a registry
@@ -261,20 +266,30 @@ class PatternRegistry:
             combined = self._rotation_factor(pat, gate.theta)
         else:
             combined = np.eye(2**pat.graph.num_vertices, dtype=complex)
-        for labels in reversed(_WITNESS_GROUPS[gate.kind]):
-            combined = self._stabs(pat, labels).project(combined)
+        for generator in reversed(self.witness_generators(gate)):
+            combined = generator.project(combined)
         return read_only(np.asfortranarray(combined))
+
+    def witness_generators(self, gate: GateKind) -> tuple:
+        """The Pauli word S of each (1 + S)/2 factor of the witness, in product order.
+
+        Each is a product of commuting cluster stabilizers, so its phase is
+        +-1 and it squares to +I: its factor is a Hermitian projector.
+        zrot's angle-dependent factor is no such word and is not among them.
+        """
+        pat = self.pattern_for(gate)
+        return tuple(self._stabs(pat, labels) for labels in _WITNESS_GROUPS[gate.kind])
 
     def witness_factors(self, gate: GateKind) -> Iterator[np.ndarray]:
         """Build the witness's factor matrices one at a time, in product order.
 
         Nothing is cached, so a caller that needs the factors holds one
-        dense factor at a time.
+        dense factor at a time. They are the dense reference of the
+        ``witness_generators`` projectors; zrot's angle factor comes last.
         """
         pat = self.pattern_for(gate)
-        for labels in _WITNESS_GROUPS[gate.kind]:
-            eye = np.eye(2**pat.graph.num_vertices, dtype=complex)
-            yield self._stabs(pat, labels).project(eye)
+        for generator in self.witness_generators(gate):
+            yield generator.project(np.eye(2**pat.graph.num_vertices, dtype=complex))
         if gate.kind == "zrot":
             yield self._rotation_factor(pat, gate.theta)
 
@@ -466,13 +481,3 @@ def load_registry(path: str | None = None) -> PatternRegistry:
 def default_registry() -> PatternRegistry:
     return load_registry()
 
-
-def witness_expectation_noiseless(registry: PatternRegistry, gate: GateKind) -> float:
-    """Expectation of the gate's witness on its pristine cluster state.
-
-    Equals 1 for a correct registry; ``cli.cmd_validate`` uses this as the
-    registry-correctness gate. The dense witness is built for the check
-    alone: ``witness_for`` keeps none.
-    """
-    rho = registry.cluster_state(gate)
-    return expectation(rho, registry.witness_for(gate)).real

@@ -332,16 +332,25 @@ class TestValidate:
         assert len(checks) > 20 and all(timed)
         assert [m[2] for m in timed] == checks
 
-    @pytest.mark.parametrize("line, corrupted, gate", [
-        # drop one chain edge of the identity graph: the witness no longer
-        # stabilizes the built cluster state
-        ("e 3 4\ne 4 5", "e 3 4", "identity"),
+    @pytest.mark.parametrize("line, corrupted, gate, check", [
+        # drop one chain edge of the identity graph: the witness, built from
+        # the graph, still holds its cluster state, but the measurements no
+        # longer teleport, so the oracle parts from the formula
+        ("e 3 4\ne 4 5", "e 3 4", "identity", "formula-oracle agreement"),
         # a wrong byproduct rule: the corrected branches no longer realize
         # one gate, so the oracle parts from the formula
-        ("byproduct s2 Z a_out", "byproduct s2 X a_out", "cz"),
-    ], ids=["dropped_edge", "wrong_byproduct"])
+        ("byproduct s2 Z a_out", "byproduct s2 X a_out", "cz", "formula-oracle agreement"),
+        ("e 4 7\n", "", "cz", "formula-oracle agreement"),
+        ("outputs 6", "outputs 6\ne 2 6", "hadamard", "formula-oracle agreement"),
+        # an edge 1-4 on zrot: the angle factor's Pauli terms no longer
+        # commute as a projector's do, which only its dense check sees
+        ("basis 3 adaptive(theta,2)", "basis 3 adaptive(theta,2)\ne 1 4", "zrot",
+         "witness factors projector+Hermitian"),
+        ("adaptive(theta,2)", "adaptive(theta,0)", "zrot", "formula-oracle agreement"),
+    ], ids=["dropped_edge", "wrong_byproduct", "cz_dropped_edge", "hadamard_extra_edge",
+            "zrot_extra_edge", "zrot_wrong_control"])
     def test_corrupted_registry_fails_naming_the_gate(
-        self, capsys, tmp_path, line, corrupted, gate
+        self, capsys, tmp_path, line, corrupted, gate, check
     ):
         from importlib import resources
 
@@ -351,7 +360,7 @@ class TestValidate:
         bad.write_text(text.replace(line, corrupted, 1))
         code, out, _ = run(["--registry", str(bad), "validate"], capsys)
         assert code == 1
-        assert any("FAIL" in l and f"[{gate}]" in l for l in out.splitlines())
+        assert any(l.startswith(f"FAIL  {check} [{gate}]") for l in out.splitlines())
 
     def test_missing_registry_is_usage_error(self, capsys):
         code, _, err = run(["--registry", "/nonexistent/registry.txt", "validate"], capsys)

@@ -801,14 +801,17 @@ def test_branch_correction_is_the_embed_chain(registry, gate):
     pattern = registry.pattern_for(gate)
     kept = sorted(pattern.to_index(lab) for lab in pattern.kept_labels)
     m = len(kept)
-    for bits in itertools.product((0, 1), repeat=len(pattern.measure_order)):
+    strings = fidelity._corrections(pattern)
+    bit_vectors = list(itertools.product((0, 1), repeat=len(pattern.measure_order)))
+    assert len(strings) == len(bit_vectors)
+    for bits, string in zip(bit_vectors, strings):
         outcomes = dict(zip(pattern.measure_order, bits))
         reference = np.eye(2**m, dtype=complex)
         for rule in pattern.byproducts:
             if sum(outcomes[src] for src in rule.sources) % 2:
                 pos = kept.index(pattern.to_index(rule.target))
                 reference = embed(paulis[rule.pauli], [pos], m) @ reference
-        assert np.array_equal(fidelity._correction(pattern, outcomes).matrix(), reference)
+        assert np.array_equal(string.matrix(), reference)
 
 
 def test_measurement_order_off_index_order(registry, rng):

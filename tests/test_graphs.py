@@ -157,6 +157,20 @@ class TestSignedPermutation:
                 dense = (np.eye(d, dtype=complex) + _kron_chain(p)) / 2.0
                 assert np.array_equal(p.project(mat), dense @ mat), p
 
+    def test_expectation_is_bitwise_the_dense_trace(self, rng):
+        # any word at any phase, on a general complex matrix: both parts of
+        # the sum, and the sign of a zero, as the dense trace gives them
+        for n in range(1, 7):
+            for _ in range(6):
+                p = _random_word(rng, n)
+                d = 2**n
+                mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                assert _bits(p.expectation(mat)) == _bits(expectation(mat, p.matrix())), p
+
+    def test_expectation_refuses_a_state_of_another_size(self):
+        with pytest.raises(ValueError, match="operator on 2 qubits"):
+            PauliString.from_letters("XZ").expectation(np.eye(8, dtype=complex))
+
 
 @st.composite
 def _word_tuples(draw, size):
@@ -263,8 +277,8 @@ class TestClusterState:
 
 
 @st.composite
-def _simple_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
+def _simple_graphs(draw, max_vertices=6):
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
     pairs = list(itertools.combinations(range(n), 2))
     chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph.from_edges(n, [e for e, on in zip(pairs, chosen) if on])
@@ -286,6 +300,29 @@ def test_random_graph_cluster_states(g):
         assert abs(expectation(circuit, stabilizer(g, i).matrix()) - 1.0) <= 1e-12
     _assert_read_only(circuit)
     _assert_read_only(product)
+
+
+def _bits(value: complex) -> tuple:
+    """The exact bits of both parts of a complex number, the sign of a zero included."""
+    return value.real.hex(), value.imag.hex()
+
+
+def _assert_stabilizers_read_at_their_support(g):
+    rho = build_cluster_state(g)
+    for i in range(g.num_vertices):
+        k = stabilizer(g, i)
+        assert _bits(k.expectation(rho)) == _bits(expectation(rho, k.matrix())), (g, i)
+
+
+@pytest.mark.parametrize("gate", [IDENTITY, HADAMARD, z_rotation(0.7), CONTROLLED_Z], ids=str)
+def test_stabilizer_expectation_at_its_support_is_bitwise_dense_on_bundled_graphs(gate):
+    _assert_stabilizers_read_at_their_support(default_registry().pattern_for(gate).graph)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_simple_graphs(max_vertices=9))
+def test_stabilizer_expectation_at_its_support_is_bitwise_dense_on_random_graphs(g):
+    _assert_stabilizers_read_at_their_support(g)
 
 
 @pytest.mark.parametrize("gate", [IDENTITY, HADAMARD, z_rotation(0.7), CONTROLLED_Z], ids=str)

@@ -5,18 +5,19 @@ import numpy as np
 import pytest
 
 from clusterfid.channels import dephasing
-from clusterfid.engine import expectation
+from clusterfid.cli import main
 from clusterfid.fidelity import fidelity_formula
-from clusterfid.graphs import Graph, stabilizer
+from clusterfid.graphs import Graph, PauliString, stabilizer
 from clusterfid.patterns import (
     CONTROLLED_Z,
+    GATE_KINDS,
     HADAMARD,
     IDENTITY,
     GateKind,
     PatternRegistry,
+    default_registry,
     parse_gate,
     parse_registry_text,
-    witness_expectation_noiseless,
     z_rotation,
 )
 
@@ -78,14 +79,45 @@ class TestRegistryStructure:
 class TestWitness:
     @pytest.mark.parametrize("gate", ALL_GATES + [z_rotation(-1.2), z_rotation(2.9)])
     def test_noiseless_expectation_is_one(self, registry, gate):
-        assert abs(witness_expectation_noiseless(registry, gate) - 1.0) <= 1e-10
+        assert abs(fidelity_formula(gate, None, registry).raw_value - 1.0) <= 1e-10
 
-    @pytest.mark.parametrize("gate", ALL_GATES)
-    def test_noiseless_check_caches_no_dense_witness(self, registry, gate):
-        reg = PatternRegistry(dict(registry._patterns))
-        witness_expectation_noiseless(reg, gate)
-        absent = object()
-        assert reg.cached("witness", gate.kind, gate.theta, lambda: absent) is absent
+    def test_validate_builds_each_witness_once_and_no_full_register_pauli_matrix(
+        self, monkeypatch, capsys
+    ):
+        # the noiseless check and the formula-oracle checks share the cached
+        # support, and stabilizers and witness factors are read off their words
+        built, matrix_sizes = [], []
+        witness_for, matrix = PatternRegistry.witness_for, PauliString.matrix
+
+        def spy_witness_for(registry, gate):
+            built.append(gate.kind)
+            return witness_for(registry, gate)
+
+        def spy_matrix(pauli):
+            matrix_sizes.append(pauli.num_qubits)
+            return matrix(pauli)
+
+        monkeypatch.setattr(PatternRegistry, "witness_for", spy_witness_for)
+        monkeypatch.setattr(PauliString, "matrix", spy_matrix)
+        assert main(["validate"]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+        assert sorted(built) == sorted(GATE_KINDS)
+        registers = {default_registry().pattern_for(parse_gate(kind)).graph.num_vertices
+                     for kind in GATE_KINDS}
+        assert matrix_sizes and not registers & set(matrix_sizes)
+
+    @pytest.mark.parametrize("gate", ALL_GATES, ids=str)
+    def test_generators_are_hermitian_involutions_whose_projectors_are_the_factors(
+        self, registry, gate
+    ):
+        generators = registry.witness_generators(gate)
+        factors = list(registry.witness_factors(gate))
+        assert len(factors) == len(generators) + (gate.kind == "zrot")
+        n = registry.pattern_for(gate).graph.num_vertices
+        for s, factor in zip(generators, factors):
+            assert s.phase in (1, -1)
+            assert s * s == PauliString(n)
+            assert np.array_equal(s.project(np.eye(2**n, dtype=complex)), factor)
 
     @pytest.mark.parametrize("gate", ALL_GATES)
     def test_factors_are_hermitian_projectors(self, registry, gate):

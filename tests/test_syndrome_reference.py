@@ -17,7 +17,7 @@ from clusterfid.analysis import immunity_scan
 from clusterfid.channels import BUILTIN_CHANNELS
 from clusterfid.fidelity import fidelity_formula
 from clusterfid.graphs import PauliString
-from clusterfid.patterns import _WITNESS_GROUPS, CONTROLLED_Z, HADAMARD, IDENTITY
+from clusterfid.patterns import CONTROLLED_Z, HADAMARD, IDENTITY
 
 #: The Pauli error each channel applies: phase damping mixes I and Z alone,
 #: so it is dephasing at a smaller rate.
@@ -26,14 +26,16 @@ ERRORS = {"bitflip": "X", "dephasing": "Z", "phasedamp": "Z"}
 #: Random assignments per gate checked against the exact value.
 ROUNDS = 200
 
+#: The gates whose witness is a product of (1 + S)/2 factors alone.
+CLIFFORD_GATES = (IDENTITY, HADAMARD, CONTROLLED_Z)
+
 
 def syndrome(registry, gate, label, letter) -> int:
     """The mask of the witness generators that ``letter`` on qubit ``label`` anticommutes with."""
     pattern = registry.pattern_for(gate)
     error = PauliString.single(pattern.graph.num_vertices, pattern.to_index(label), letter)
     mask = 0
-    for i, labels in enumerate(_WITNESS_GROUPS[gate.kind]):
-        generator = registry._stabs(pattern, labels)
+    for i, generator in enumerate(registry.witness_generators(gate)):
         if ((error.x & generator.z).bit_count() + (error.z & generator.x).bit_count()) & 1:
             mask |= 1 << i
     return mask
@@ -41,7 +43,7 @@ def syndrome(registry, gate, label, letter) -> int:
 
 def exact_fidelity(registry, gate, errors: dict) -> Fraction:
     """Pr[syndrome = 0] under independent errors ``{label: (letter, p)}``."""
-    size = 2 ** len(_WITNESS_GROUPS[gate.kind])
+    size = 2 ** len(registry.witness_generators(gate))
     dist = [Fraction(1)] + [Fraction(0)] * (size - 1)
     for label, (letter, p) in errors.items():
         flip = syndrome(registry, gate, label, letter)
@@ -49,10 +51,14 @@ def exact_fidelity(registry, gate, errors: dict) -> Fraction:
     return dist[0]
 
 
-@pytest.mark.parametrize("gate", [IDENTITY, HADAMARD, CONTROLLED_Z], ids=str)
-def test_formula_is_the_exact_zero_syndrome_probability(registry, rng, gate):
+def deviations(registry, gate, rng, rounds=ROUNDS):
+    """``(assignment, |formula - exact|)`` for ``rounds`` random assignments drawn from ``rng``.
+
+    Each assignment puts bit flip or dephasing, at a rate k/64, on a random
+    non-empty set of the gate's qubits.
+    """
     labels = registry.pattern_for(gate).labels
-    for _ in range(ROUNDS):
+    for _ in range(rounds):
         chosen = rng.choice(labels, size=int(rng.integers(1, len(labels) + 1)), replace=False)
         errors, assignment = {}, {}
         for label in map(str, chosen):
@@ -61,8 +67,13 @@ def test_formula_is_the_exact_zero_syndrome_probability(registry, rng, gate):
             errors[label] = (ERRORS[name], p)
             assignment[label] = BUILTIN_CHANNELS[name](float(p))
         value = fidelity_formula(gate, assignment, registry).raw_value
-        exact = exact_fidelity(registry, gate, errors)
-        assert abs(Fraction(value) - exact) <= Fraction(1e-15), assignment
+        yield assignment, abs(Fraction(value) - exact_fidelity(registry, gate, errors))
+
+
+@pytest.mark.parametrize("gate", CLIFFORD_GATES, ids=str)
+def test_formula_is_the_exact_zero_syndrome_probability(registry, rng, gate):
+    for assignment, deviation in deviations(registry, gate, rng):
+        assert deviation <= Fraction(1e-15), assignment
 
 
 @pytest.mark.parametrize("gate, count", [(IDENTITY, 7), (HADAMARD, 6), (CONTROLLED_Z, 4)],

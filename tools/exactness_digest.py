@@ -1,4 +1,5 @@
-"""Print four sha256 digests that pin the package's output bit for bit.
+"""Print four sha256 digests that pin the package's output bit for bit, and
+the formula's largest deviation from an exact reference.
 
 Run from the root of a checkout (the package is imported from its ``src/``):
 
@@ -16,9 +17,15 @@ Run from the root of a checkout (the package is imported from its ``src/``):
   that runs the channels on the whole state before slicing it.
 - ``witness``: the bytes of each of those gates' witness matrix.
 - ``demos``:   the stdout of every script under ``demos/``.
+- ``exact``:   the largest |``fidelity_formula`` - exact value| over the
+  assignments that ``tests/test_syndrome_reference.py`` draws (bit flip
+  and dephasing at rates k/64, ``ROUNDS`` per gate on identity, Hadamard
+  and cz), here drawn from ``SEED``. The exact value is that module's
+  zero-syndrome probability, in ``fractions.Fraction``; its draw and walk
+  are imported, not copied.
 
-Two checkouts that print the same four lines compute the same numbers,
-witnesses and demo output. It takes about 4 s on a 2-core machine.
+Two checkouts that print the same four digest lines compute the same
+numbers, witnesses and demo output. It takes about 5 s on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(1, str(ROOT / "tests"))
 
 from clusterfid import (  # noqa: E402
     BUILTIN_CHANNELS,
@@ -46,6 +54,7 @@ from clusterfid import (  # noqa: E402
     mbqc_oracle,
     z_rotation,
 )
+from test_syndrome_reference import CLIFFORD_GATES, deviations  # noqa: E402
 
 GATES = [IDENTITY, HADAMARD, z_rotation(math.pi / 4), z_rotation(1.1), CONTROLLED_Z]
 RATES = (0.1, 0.3, 0.5, 1.0)
@@ -124,12 +133,20 @@ def demos_digest() -> str:
     return h.hexdigest()
 
 
+def exact_deviation(registry) -> float:
+    """The largest |formula - exact| over the seeded Pauli-noise assignments."""
+    rng = np.random.default_rng(SEED)
+    return float(max(deviation for gate in CLIFFORD_GATES
+                     for _, deviation in deviations(registry, gate, rng)))
+
+
 def main() -> None:
     registry = load_registry()
     print(f"values  {values_digest(registry, assignments(registry))}")
     print(f"custom  {values_digest(registry, custom_assignments(registry))}")
     print(f"witness {witness_digest(registry)}")
     print(f"demos   {demos_digest()}")
+    print(f"exact   {exact_deviation(registry):.3e}")
 
 
 if __name__ == "__main__":
