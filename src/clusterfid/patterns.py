@@ -37,7 +37,8 @@ A pattern maps labels to vertices and orders its kept qubits once;
 the latest theta. The registry stores its own cluster states there; each
 evaluator in ``fidelity`` builds and stores its own artefacts (the
 formula's witness support, the oracle's walk plan and branch table).
-``witness_for`` builds the dense witness on every call and keeps nothing.
+``witness_for`` builds the dense witness on every call and keeps nothing;
+the formula's cached support is its one caller in the package.
 """
 
 from __future__ import annotations
@@ -259,7 +260,9 @@ class PatternRegistry:
 
         The product runs from the last factor back, each (1 + S)/2 by a row
         gather. It is column-major, so its transpose, the operand of the
-        trace ``sum(rho * W^T)``, is read in memory order.
+        trace ``sum(rho * W^T)``, is read in memory order. Its caller in the
+        package is the formula's cached support (``fidelity._support``),
+        which ``validate``'s checks share.
         """
         pat = self.pattern_for(gate)
         if gate.kind == "zrot":
