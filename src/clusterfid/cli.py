@@ -203,15 +203,17 @@ def cmd_eval(args) -> int:
 def _validate_checks(registry):
     """Yield (name, ok, detail) tuples for the full invariant suite.
 
-    Each check reads a matrix only where it is nonzero. The noiseless
-    witness expectation is ``fidelity_formula`` on the pristine state: its
-    sum over the witness support, bit for bit the dense trace, and the
-    support stays cached for the formula-oracle checks, so each gate's
-    dense witness is built once. A (1 + S)/2 factor deviates from a
-    Hermitian projector by |S * S - 1|/4 and |Im phase(S)|, read off the
-    Pauli word S (``witness_generators``); zrot's angle factor alone is
-    checked as a matrix. A stabilizer's expectation is read at its one
-    nonzero entry per column (``PauliString.expectation``).
+    The witness expectation, the Pauli factors and the stabilizers are
+    read where their matrices are nonzero. The noiseless witness
+    expectation is ``fidelity_formula`` on the pristine state: its sum
+    over the witness support, bit for bit the dense trace, and the support
+    stays cached for the formula-oracle checks, so each gate's dense
+    witness is built once. A (1 + S)/2 factor deviates from a Hermitian
+    projector by |S * S - 1|/4 and |Im phase(S)|, read off the Pauli word
+    S (``witness_generators``). A stabilizer's expectation is read at its
+    one nonzero entry per column (``PauliString.expectation``). zrot's
+    angle factor (``rotation_factor``), the channel completeness sums and
+    the cluster constructor comparison stay dense.
     """
     gates = [parse_gate(kind, math.pi / 4 if kind == "zrot" else 0.0) for kind in GATE_KINDS]
 
@@ -229,7 +231,7 @@ def _validate_checks(registry):
             # S * S is +-I, and S is Hermitian iff its phase is real
             worst = max(worst, abs((s * s).phase - 1) / 4, abs(s.phase.imag))
         if gate.kind == "zrot":
-            *_, m = registry.witness_factors(gate)   # the angle factor comes last
+            m = registry.rotation_factor(gate)
             worst = max(
                 worst,
                 float(np.max(np.abs(m @ m - m))),

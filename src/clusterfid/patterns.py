@@ -266,7 +266,7 @@ class PatternRegistry:
         """
         pat = self.pattern_for(gate)
         if gate.kind == "zrot":
-            combined = self._rotation_factor(pat, gate.theta)
+            combined = self.rotation_factor(gate)
         else:
             combined = np.eye(2**pat.graph.num_vertices, dtype=complex)
         for generator in reversed(self.witness_generators(gate)):
@@ -283,33 +283,14 @@ class PatternRegistry:
         pat = self.pattern_for(gate)
         return tuple(self._stabs(pat, labels) for labels in _WITNESS_GROUPS[gate.kind])
 
-    def witness_factors(self, gate: GateKind) -> Iterator[np.ndarray]:
-        """Build the witness's factor matrices one at a time, in product order.
-
-        Nothing is cached, so a caller that needs the factors holds one
-        dense factor at a time. They are the dense reference of the
-        ``witness_generators`` projectors; zrot's angle factor comes last.
-        """
-        pat = self.pattern_for(gate)
-        for generator in self.witness_generators(gate):
-            yield generator.project(np.eye(2**pat.graph.num_vertices, dtype=complex))
-        if gate.kind == "zrot":
-            yield self._rotation_factor(pat, gate.theta)
-
-    # -- witness construction ------------------------------------------------
-
-    def _stabs(self, pat: MeasurementPattern, labels: tuple) -> PauliString:
-        """The product of the labelled vertices' cluster stabilizers, in order."""
-        stabs = (stabilizer(pat.graph, pat.to_index(lab)) for lab in labels)
-        return functools.reduce(PauliString.__mul__, stabs, PauliString(pat.graph.num_vertices))
-
-    def _rotation_factor(self, pat: MeasurementPattern, theta: float) -> np.ndarray:
-        """The angle-dependent factor of the Z-rotation witness.
+    def rotation_factor(self, gate: GateKind) -> np.ndarray:
+        """The angle-dependent factor of the Z-rotation witness, for ``gate.theta``.
 
         Its four Pauli terms are added onto the identity by scatters; the two
         that share a scale differ by K4, so they never meet on an entry.
         """
-        c, s = np.cos(theta), np.sin(theta)
+        pat = self.pattern_for(gate)
+        c, s = np.cos(gate.theta), np.sin(gate.theta)
         n = pat.graph.num_vertices
         z0, y1, z2 = (PauliString.single(n, pat.to_index(lab), p) for lab, p in zip("012", "ZYZ"))
         a, k135 = z0 * y1 * z2 * self._stabs(pat, ("2", "3")), self._stabs(pat, ("1", "3", "5"))
@@ -320,6 +301,26 @@ class PatternRegistry:
             rows, values = pauli.columns()
             mat[rows, np.arange(2**n)] += scale * values
         return mat / 2.0
+
+    def witness_factors(self, gate: GateKind) -> Iterator[np.ndarray]:
+        """Build the witness's factor matrices one at a time, in product order.
+
+        Nothing is cached, so a caller that needs the factors holds one
+        dense factor at a time. They are the tests' dense reference of the
+        ``witness_generators`` projectors; zrot's angle factor comes last.
+        """
+        pat = self.pattern_for(gate)
+        for generator in self.witness_generators(gate):
+            yield generator.project(np.eye(2**pat.graph.num_vertices, dtype=complex))
+        if gate.kind == "zrot":
+            yield self.rotation_factor(gate)
+
+    # -- witness construction ------------------------------------------------
+
+    def _stabs(self, pat: MeasurementPattern, labels: tuple) -> PauliString:
+        """The product of the labelled vertices' cluster stabilizers, in order."""
+        stabs = (stabilizer(pat.graph, pat.to_index(lab)) for lab in labels)
+        return functools.reduce(PauliString.__mul__, stabs, PauliString(pat.graph.num_vertices))
 
 
 # -- registry file parsing ----------------------------------------------------

@@ -18,11 +18,11 @@ Run from the root of a checkout (the package is imported from its ``src/``):
 - ``witness``: the bytes of each of those gates' witness matrix.
 - ``demos``:   the stdout of every script under ``demos/``.
 - ``exact``:   the largest |``fidelity_formula`` - exact value| over the
-  assignments that ``tests/test_syndrome_reference.py`` draws (bit flip
-  and dephasing at rates k/64, ``ROUNDS`` per gate on identity, Hadamard
-  and cz), here drawn from ``SEED``. The exact value is that module's
-  zero-syndrome probability, in ``fractions.Fraction``; its draw and walk
-  are imported, not copied.
+  assignments that ``syndrome_reference.deviations`` draws (bit flip and
+  dephasing at rates k/64, ``ROUNDS`` per gate on identity, Hadamard and
+  cz), here drawn from ``SEED``. The exact value is that module's
+  zero-syndrome probability, in ``fractions.Fraction``; the test suite
+  holds the formula to the same reference.
 
 Two checkouts that print the same four digest lines compute the same
 numbers, witnesses and demo output. It takes about 5 s on a 2-core machine.
@@ -41,7 +41,6 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(1, str(ROOT / "tests"))
 
 from clusterfid import (  # noqa: E402
     BUILTIN_CHANNELS,
@@ -54,7 +53,7 @@ from clusterfid import (  # noqa: E402
     mbqc_oracle,
     z_rotation,
 )
-from test_syndrome_reference import CLIFFORD_GATES, deviations  # noqa: E402
+from syndrome_reference import CLIFFORD_GATES, deviations  # noqa: E402
 
 GATES = [IDENTITY, HADAMARD, z_rotation(math.pi / 4), z_rotation(1.1), CONTROLLED_Z]
 RATES = (0.1, 0.3, 0.5, 1.0)
