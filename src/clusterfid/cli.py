@@ -27,10 +27,11 @@ import numpy as np
 from . import analysis
 from .channels import BUILTIN_CHANNELS, channel_family, parse_channel_spec
 from .engine import CapacityError
-# Unused here, but the benchmark tracer (perfbench/tracing.py) wraps this site.
+# Unused here, but the benchmark tracer (perfbench/tracing.py) wraps these sites.
 from .engine import expectation  # noqa: F401
+from .graphs import build_cluster_state  # noqa: F401
 from .fidelity import cross_validate, fidelity_formula, mbqc_oracle
-from .graphs import build_cluster_state, cluster_state_projector_product, stabilizer
+from .graphs import cluster_state_projector_product, stabilizer
 from .patterns import GATE_KINDS, GateKind, load_registry, parse_gate
 
 EXIT_OK = 0
@@ -207,13 +208,14 @@ def _validate_checks(registry):
     read where their matrices are nonzero. The noiseless witness
     expectation is ``fidelity_formula`` on the pristine state: its sum
     over the witness support, bit for bit the dense trace, and the support
-    stays cached for the formula-oracle checks, so each gate's dense
-    witness is built once. A (1 + S)/2 factor deviates from a Hermitian
-    projector by |S * S - 1|/4 and |Im phase(S)|, read off the Pauli word
-    S (``witness_generators``). A stabilizer's expectation is read at its
-    one nonzero entry per column (``PauliString.expectation``). zrot's
-    angle factor (``rotation_factor``), the channel completeness sums and
-    the cluster constructor comparison stay dense.
+    stays cached for the formula-oracle checks: no dense witness is built.
+    A (1 + S)/2 factor deviates from a Hermitian projector by
+    |S * S - 1|/4 and |Im phase(S)|, read off the Pauli word S
+    (``witness_generators``). The registry's cached cluster state, which
+    the oracle checks read later, is compared with the projector product,
+    and a stabilizer's expectation on it is read at its one nonzero entry
+    per column (``PauliString.expectation``). zrot's angle factor
+    (``rotation_factor``) and the channel completeness sums stay dense.
     """
     gates = [parse_gate(kind, math.pi / 4 if kind == "zrot" else 0.0) for kind in GATE_KINDS]
 
@@ -253,7 +255,7 @@ def _validate_checks(registry):
 
     for gate in gates:
         g = registry.pattern_for(gate).graph
-        a = build_cluster_state(g)
+        a = registry.cluster_state(gate)
         b = cluster_state_projector_product(g)
         dev = float(np.max(np.abs(a - b)))
         yield (

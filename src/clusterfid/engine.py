@@ -237,21 +237,29 @@ def block_grouping(flat: np.ndarray, qubit: int, num_qubits: int) -> tuple:
     return read_only(order), (0, *bounds.tolist(), len(flat))
 
 
-class FlippedEntries(dict):
-    """``apply_kraus_at``'s sources on a dense state, each gathered on first use.
+def outer_entries(psi: np.ndarray):
+    """A gather of ``np.outer(psi, psi.conj())`` at C-order flat indices, bit for bit:
+    entry f is the one product ``psi[f >> n] * psi.conj()[f & (d - 1)]`` it forms."""
+    n, conj = len(psi).bit_length() - 1, psi.conj()
+    return lambda flat: psi[flat >> n] * conj[flat & (len(psi) - 1)]
 
-    ``self[(a, b)]`` is ``mat`` at the C-order flat indices ``at`` with the
+
+class FlippedEntries(dict):
+    """``apply_kraus_at``'s sources on a state, each gathered on first use.
+
+    ``gather(flat)`` is the state at C-order flat indices (``mat.reshape(-1).take``,
+    or ``outer_entries``), and ``self[(a, b)]`` is it at ``at`` with the
     qubit's row bit flipped if a is 1 and its column bit if b is 1.
     """
 
-    def __init__(self, mat: np.ndarray, at: np.ndarray, qubit: int, num_qubits: int):
+    def __init__(self, gather, at: np.ndarray, qubit: int, num_qubits: int):
         super().__init__()
-        self._rho, self._at = mat.reshape(-1), at
+        self._gather, self._at = gather, at
         self._bits = _block_bits(qubit, num_qubits)
 
     def __missing__(self, flip):
         row_bit, col_bit = self._bits
-        value = self[flip] = self._rho[self._at ^ (row_bit * flip[0] | col_bit * flip[1])]
+        value = self[flip] = self._gather(self._at ^ (row_bit * flip[0] | col_bit * flip[1]))
         return value
 
 
@@ -261,7 +269,7 @@ def apply_kraus_at(sources, table: tuple, grouping: tuple) -> np.ndarray:
     ``grouping`` is the ``(order, bounds)`` of the chosen flat indices, and
     ``sources[flip]`` is the state at those indices taken in ``order``, with
     the qubit's row and column bits flipped by that pair: ``FlippedEntries``
-    on a dense state. An entry in block ``(c, e)`` sums that block's
+    of a state's gather. An entry in block ``(c, e)`` sums that block's
     ``kraus_table`` terms ``(K[c, a] * rho[a, b]) * conj(K[e, b])``; each
     term is one scalar product over a group. The terms are the ones
     ``apply_kraus`` forms, rounded the same way and added in the same order,
@@ -291,16 +299,16 @@ def apply_kraus_at(sources, table: tuple, grouping: tuple) -> np.ndarray:
     return out
 
 
-def sign_classes(mat: np.ndarray, flat: np.ndarray, qubit: int, num_qubits: int) -> tuple:
+def sign_classes(gather, flat: np.ndarray, qubit: int, num_qubits: int) -> tuple:
     """``(sources, grouping, expand)``: the entries at ``flat`` as classes of equal kernel inputs.
 
     ``apply_kraus_at`` on ``qubit`` computes an entry from its block (c, e)
-    and the four ``FlippedEntries`` sources, so entries that agree in all
-    five get the same rounded value. Every entry of a graph state is
-    ±2^-n (Hein, Eisert & Briegel, PRA 69, 062311 (2004)), so ``mat``'s
+    and the four ``FlippedEntries(gather, ...)`` sources, so entries that
+    agree in all five get the same rounded value. Every entry of a graph
+    state is ±2^-n (Hein, Eisert & Briegel, PRA 69, 062311 (2004)), so its
     sources differ only in the sign bits of their real and (zero)
     imaginary parts, and an entry's class is keyed on its block and those
-    eight bits; a source that is not exactly ±|mat[0, 0]| raises
+    eight bits; a source that is not exactly ±|rho[0, 0]| raises
     ``ValueError``. ``sources`` holds one member's four sources per class,
     with the classes ordered by block, ``grouping`` is their
     ``(order, bounds)``, and ``apply_kraus_at(sources, table,
@@ -311,12 +319,11 @@ def sign_classes(mat: np.ndarray, flat: np.ndarray, qubit: int, num_qubits: int)
     if not (0 <= qubit < num_qubits):
         raise ValueError(f"qubit {qubit} out of range for {num_qubits} qubits")
     row_bit, col_bit = _block_bits(qubit, num_qubits)
-    rho = mat.reshape(-1)
-    magnitude = abs(rho[0].real)
+    magnitude = abs(gather(np.zeros(1, dtype=np.intp))[0].real)
     flips = {(a, b): row_bit * a | col_bit * b for a, b in itertools.product((0, 1), repeat=2)}
     key = ((flat & row_bit) != 0) * 2 + ((flat & col_bit) != 0)   # the block, in product order
     for flip in flips.values():
-        source = rho[flat ^ flip]
+        source = gather(flat ^ flip)
         if not np.all((np.abs(source.real) == magnitude) & (source.imag == 0)):
             raise ValueError("sign classes need a state whose every entry is ±|rho[0, 0]|")
         key = key * 4 + np.signbit(source.real) * 2 + np.signbit(source.imag)
@@ -326,7 +333,7 @@ def sign_classes(mat: np.ndarray, flat: np.ndarray, qubit: int, num_qubits: int)
     member = np.empty(present.shape, dtype=np.intp)
     member[key] = np.arange(len(key))    # any member stands for its class
     at = flat[member[keys]]
-    sources = {pair: read_only(rho[at ^ flip]) for pair, flip in flips.items()}
+    sources = {pair: read_only(gather(at ^ flip)) for pair, flip in flips.items()}
     bounds = np.searchsorted(keys >> 8, (1, 2, 3))
     grouping = (read_only(np.arange(len(keys))), (0, *bounds.tolist(), len(keys)))
     return sources, grouping, read_only((np.cumsum(present) - 1)[key])

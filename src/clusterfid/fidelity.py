@@ -21,9 +21,10 @@ the probability of each branch it weighed (``branch_probabilities``).
 The two evaluators share the engine, the registry and ``apply_assignment``,
 but no intermediate: each applies the channels to the registry's pristine
 cluster state itself. The formula reads the witness only where it is
-nonzero, so no dense witness is needed, and it applies there alone its
-highest non-diagonal channel and every diagonal channel above it, and sums
-there in ``np.sum``'s order. Each evaluator builds what it reads again per
+nonzero, and it applies there alone its highest non-diagonal channel and
+every diagonal channel above it, and sums there in ``np.sum``'s order; with
+no channel left for the whole state, it builds no dense state or witness.
+Each evaluator builds what it reads again per
 gate, and ``PatternRegistry.cached`` keeps it for the latest theta: the
 formula's support, its groupings and classes, and the oracle's walk plan
 and branch table. Assignments are keyed by qubit label and checked by
@@ -44,6 +45,7 @@ from .engine import (
     FlippedEntries,
     apply_kraus_at,
     block_grouping,
+    outer_entries,
     pairwise_plan,
     pairwise_sum_at,
     read_only,
@@ -101,19 +103,16 @@ def resolve_assignment(pattern: MeasurementPattern, assignment: dict) -> dict:
 def _support(registry: PatternRegistry, gate: GateKind) -> tuple:
     """``(flat, values, plan)``: where W^T is nonzero, W^T there, and how to sum it.
 
-    ``flat`` holds the C-order flat indices of the nonzero entries of W^T,
-    ascending, and ``values`` their entries; both are read-only. ``plan``
-    is ``engine.pairwise_plan`` of ``flat``, so that ``pairwise_sum_at`` of
-    products at the support is ``np.sum`` of the whole product matrix. W is
-    a product of (1 + S)/2 factors, each S a signed permutation, so a row of
-    W has at most 2^m nonzeros for m factors: 3-7 % of the matrix on the
-    bundled gates. The dense witness they are read from is not kept.
+    ``flat`` and ``values`` are ``PatternRegistry.witness_support``: at
+    most 2^m nonzeros per row for m factors, 3-7 % of the matrix on the
+    bundled gates. ``plan`` is ``engine.pairwise_plan`` of ``flat``, so that
+    ``pairwise_sum_at`` of products at the support is ``np.sum`` of the
+    whole product matrix.
     """
     def build():
-        transposed = registry.witness_for(gate).T.reshape(-1)   # a view: W is column-major
-        flat = np.flatnonzero(transposed)
-        plan = pairwise_plan(flat, transposed.size)
-        return read_only(flat), read_only(transposed[flat]), plan
+        flat, values = registry.witness_support(gate)
+        n = registry.pattern_for(gate).graph.num_vertices
+        return flat, values, pairwise_plan(flat, 4**n)
 
     return registry.cached("support", gate.kind, gate.theta, build)
 
@@ -148,7 +147,8 @@ def _classes(registry: PatternRegistry, gate: GateKind, qubit: int) -> tuple | N
 
     def build():
         n = registry.pattern_for(gate).graph.num_vertices
-        return sign_classes(registry.cluster_state(gate), _support(registry, gate)[0], qubit, n)
+        pristine = outer_entries(registry.cluster_vector(gate))
+        return sign_classes(pristine, _support(registry, gate)[0], qubit, n)
 
     return registry.cached(("classes", qubit), gate.kind, gate.theta, build)
 
@@ -177,7 +177,8 @@ def fidelity_formula(
     below it. Each is one ``engine.apply_kraus_at`` pass over the support
     grouped by its qubit's block (``_grouping``). When no channel runs on
     the whole state, the first one at the support reads the pristine cluster
-    state, whose entries fall into a few dozen classes of equal inputs
+    state off its vector (``engine.outer_entries``), bit for bit the dense
+    state's entries, which fall into a few dozen classes of equal inputs
     (``_classes``): from a qubit's second such call at an angle on, it runs
     on one member per class, and each entry takes its class's value. The
     products are summed by ``engine.pairwise_sum_at`` in the order
@@ -194,21 +195,24 @@ def fidelity_formula(
         at_support.insert(0, dense.pop())
     if dense:
         at_support.insert(0, dense.pop())
-    rho = apply_assignment(registry.cluster_state(gate), {q: resolved[q] for q in dense})
+    if dense:
+        whole = {q: resolved[q] for q in dense}
+        gather = apply_assignment(registry.cluster_state(gate), whole).reshape(-1).take
+    else:   # no channel runs on the whole state: read the pristine one off its vector
+        gather = outer_entries(registry.cluster_vector(gate))
     first = at_support.pop(0) if at_support else None
-    # with no channel on the whole state, the first one reads the pristine state
     classes = None if first is None or dense else _classes(registry, gate, first)
     if first is None:
-        entries = rho.reshape(-1)[flat]
+        entries = gather(flat)
     elif classes is None:
         grouping = _grouping(registry, gate, first)
-        sources = FlippedEntries(rho, flat[grouping[0]], first, pattern.graph.num_vertices)
+        sources = FlippedEntries(gather, flat[grouping[0]], first, pattern.graph.num_vertices)
         entries = apply_kraus_at(sources, resolved[first].table, grouping)
-        del sources  # it views the state
+        del sources  # it holds the gather
     else:
         sources, grouping, expand = classes
         entries = apply_kraus_at(sources, resolved[first].table, grouping)[expand]
-    del rho  # hold no noisy state while the channels above run
+    del gather  # hold no noisy state while the channels above run
     for q in at_support:
         grouping = _grouping(registry, gate, q)
         entries = apply_kraus_at({(0, 0): entries[grouping[0]]}, resolved[q].table, grouping)

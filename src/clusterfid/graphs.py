@@ -166,8 +166,8 @@ def stabilizer(g: Graph, i: int) -> PauliString:
     return PauliString(n, 1 << (n - 1 - i), z)
 
 
-def build_cluster_state(g: Graph) -> np.ndarray:
-    """Cluster state of g: |+>^n entangled by CZ on every edge (read-only)."""
+def cluster_vector(g: Graph) -> np.ndarray:
+    """Cluster state vector of g: |+>^n entangled by CZ on every edge (read-only)."""
     n = g.num_vertices
     if n > MAX_QUBITS:
         raise CapacityError(f"{n} qubits exceeds the engine limit of {MAX_QUBITS}")
@@ -177,6 +177,12 @@ def build_cluster_state(g: Graph) -> np.ndarray:
     for i, j in g.edges:
         both = ((idx >> (n - 1 - i)) & 1) & ((idx >> (n - 1 - j)) & 1)
         psi[both == 1] *= -1.0
+    return read_only(psi)
+
+
+def build_cluster_state(g: Graph) -> np.ndarray:
+    """Cluster state of g, the outer product of its ``cluster_vector`` (read-only)."""
+    psi = cluster_vector(g)
     return read_only(np.outer(psi, psi.conj()))
 
 

@@ -22,8 +22,8 @@ built here from the pattern's stabilizers:
 where K_l is the cluster stabilizer of the vertex labeled ``l``. Every S of
 a (1 + S)/2 factor is a Pauli word (``PatternRegistry.witness_generators``),
 so ``cli.cmd_validate`` checks those factors by their algebra; only zrot's
-angle-dependent factor is checked as a matrix. The dense product is built
-from the last factor back, each (1 + S)/2 by a row gather. The
+angle-dependent factor is checked as a matrix. The product is built from
+the last factor back where it is nonzero (``witness_support``). The
 expectation of the witness on the noisy pre-measurement cluster state
 equals the branch-averaged gate fidelity; ``cli.cmd_validate`` and the test
 suite hold the registry to that via the independent branch oracle.
@@ -34,11 +34,11 @@ gates ``validate`` checks, and the sections a registry file may hold.
 A pattern maps labels to vertices and orders its kept qubits once;
 ``MeasurementPattern.check_labels`` is the one check of a list of labels.
 ``PatternRegistry.cached`` is the one cache of what is built per gate, for
-the latest theta. The registry stores its own cluster states there; each
-evaluator in ``fidelity`` builds and stores its own artefacts (the
-formula's witness support, the oracle's walk plan and branch table).
-``witness_for`` builds the dense witness on every call and keeps nothing;
-the formula's cached support is its one caller in the package.
+the latest theta. The registry stores its own cluster states and vectors
+there; each evaluator in ``fidelity`` builds and stores its own artefacts
+(the formula's witness support, the oracle's walk plan and branch table).
+``witness_support`` and ``witness_for``, its scatter into a dense matrix,
+build on every call and keep nothing; no evaluator reads the dense witness.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import numpy as np
 from .engine import MAX_QUBITS, CapacityError, read_only
 # Unused here, but the benchmark tracer (perfbench/tracing.py) wraps this site.
 from .engine import expectation  # noqa: F401
-from .graphs import Graph, PauliString, build_cluster_state, stabilizer
+from .graphs import Graph, PauliString, build_cluster_state, cluster_vector, stabilizer
 
 #: The gate kinds, in the order the CLI and ``validate`` list them; a registry
 #: holds one ``[section]`` per kind and no other.
@@ -255,23 +255,55 @@ class PatternRegistry:
             "cluster", gate.kind, None, lambda: build_cluster_state(self.pattern_for(gate).graph)
         )
 
-    def witness_for(self, gate: GateKind) -> np.ndarray:
-        """The read-only witness, built on every call: the product of its factors.
+    def cluster_vector(self, gate: GateKind) -> np.ndarray:
+        """The (cached, read-only) pristine cluster state vector of the gate's graph."""
+        return self.cached("vector", gate.kind, None,
+                           lambda: cluster_vector(self.pattern_for(gate).graph))
 
-        The product runs from the last factor back, each (1 + S)/2 by a row
-        gather. It is column-major, so its transpose, the operand of the
-        trace ``sum(rho * W^T)``, is read in memory order. Its caller in the
-        package is the formula's cached support (``fidelity._support``),
-        which ``validate``'s checks share.
+    def witness_support(self, gate: GateKind) -> tuple:
+        """``(flat, values)``: the C-order flat indices where W^T is nonzero, ascending, and
+        W^T there, read-only and built on every call.
+
+        Column j of W is nonzero only on the rows j ^ v, v in the span V of
+        the factors' X masks, so W is held as ``entries[k, j] = W[j ^ V[k], j]``
+        and built by ``rotation_factor``'s and ``PauliString.project``'s
+        operations, in their order, on those entries alone.
         """
-        pat = self.pattern_for(gate)
-        if gate.kind == "zrot":
-            combined = self.rotation_factor(gate)
-        else:
-            combined = np.eye(2**pat.graph.num_vertices, dtype=complex)
-        for generator in reversed(self.witness_generators(gate)):
-            combined = generator.project(combined)
-        return read_only(np.asfortranarray(combined))
+        dim = 2**self.pattern_for(gate).graph.num_vertices
+        generators = self.witness_generators(gate)
+        terms = self._rotation_terms(gate) if gate.kind == "zrot" else []
+        span = [0]
+        for pauli in (*generators, *(pauli for pauli, _ in terms)):
+            if pauli.x not in span:
+                span += [v ^ pauli.x for v in span]
+        slot = {v: k for k, v in enumerate(span)}
+        cols, offsets = np.arange(dim), np.array(span)[:, None]
+        entries = np.zeros((len(span), dim), dtype=complex)
+        entries[0] = 1.0
+        for pauli, scale in terms:
+            entries[slot[pauli.x]] += scale * pauli.columns()[1]
+        if terms:
+            entries /= 2.0
+        for generator in reversed(generators):
+            partner = [slot[v ^ generator.x] for v in span]
+            values = generator.columns()[1][cols ^ offsets[partner]]
+            entries = (entries[partner] * values + entries) / 2.0
+        keep = entries != 0
+        flat = (cols * dim + (cols ^ offsets))[keep]
+        order = np.argsort(flat)
+        return read_only(flat[order]), read_only(entries[keep][order])
+
+    def witness_for(self, gate: GateKind) -> np.ndarray:
+        """The read-only witness, ``witness_support`` scattered, built on every call.
+
+        It is column-major, so W^T, the operand of ``sum(rho * W^T)``, is read
+        in memory order. No evaluator reads it: it is the tests' dense view.
+        """
+        flat, values = self.witness_support(gate)
+        dim = 2**self.pattern_for(gate).graph.num_vertices
+        transposed = np.zeros(dim * dim, dtype=complex)
+        transposed[flat] = values
+        return read_only(transposed.reshape(dim, dim).T)
 
     def witness_generators(self, gate: GateKind) -> tuple:
         """The Pauli word S of each (1 + S)/2 factor of the witness, in product order.
@@ -286,20 +318,14 @@ class PatternRegistry:
     def rotation_factor(self, gate: GateKind) -> np.ndarray:
         """The angle-dependent factor of the Z-rotation witness, for ``gate.theta``.
 
-        Its four Pauli terms are added onto the identity by scatters; the two
-        that share a scale differ by K4, so they never meet on an entry.
+        Its four ``_rotation_terms`` are added onto the identity by scatters;
+        the two that share a scale differ by K4, so they never meet on an entry.
         """
-        pat = self.pattern_for(gate)
-        c, s = np.cos(gate.theta), np.sin(gate.theta)
-        n = pat.graph.num_vertices
-        z0, y1, z2 = (PauliString.single(n, pat.to_index(lab), p) for lab, p in zip("012", "ZYZ"))
-        a, k135 = z0 * y1 * z2 * self._stabs(pat, ("2", "3")), self._stabs(pat, ("1", "3", "5"))
-        k4, k5 = self._stabs(pat, ("4",)), self._stabs(pat, ("5",))
-        mat = np.eye(2**n, dtype=complex)
-        terms = [(k135, c * c), (k135 * k4, s * s), (a * k5, c * s), (a * k4 * k5, -c * s)]
-        for pauli, scale in terms:
+        dim = 2**self.pattern_for(gate).graph.num_vertices
+        mat = np.eye(dim, dtype=complex)
+        for pauli, scale in self._rotation_terms(gate):
             rows, values = pauli.columns()
-            mat[rows, np.arange(2**n)] += scale * values
+            mat[rows, np.arange(dim)] += scale * values
         return mat / 2.0
 
     def witness_factors(self, gate: GateKind) -> Iterator[np.ndarray]:
@@ -316,6 +342,16 @@ class PatternRegistry:
             yield self.rotation_factor(gate)
 
     # -- witness construction ------------------------------------------------
+
+    def _rotation_terms(self, gate: GateKind) -> list:
+        """The (Pauli word, scale) terms zrot's angle factor adds onto the identity, in order."""
+        pat = self.pattern_for(gate)
+        c, s = np.cos(gate.theta), np.sin(gate.theta)
+        n = pat.graph.num_vertices
+        z0, y1, z2 = (PauliString.single(n, pat.to_index(lab), p) for lab, p in zip("012", "ZYZ"))
+        a, k135 = z0 * y1 * z2 * self._stabs(pat, ("2", "3")), self._stabs(pat, ("1", "3", "5"))
+        k4, k5 = self._stabs(pat, ("4",)), self._stabs(pat, ("5",))
+        return [(k135, c * c), (k135 * k4, s * s), (a * k5, c * s), (a * k4 * k5, -c * s)]
 
     def _stabs(self, pat: MeasurementPattern, labels: tuple) -> PauliString:
         """The product of the labelled vertices' cluster stabilizers, in order."""

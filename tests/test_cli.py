@@ -130,7 +130,9 @@ class TestCurve:
             _, f, o = row.split(",")
             assert abs(float(f) - float(o)) <= 1e-9
 
-    def test_method_both_applies_the_channels_once_per_grid_point(self, capsys, monkeypatch):
+    def test_method_both_applies_the_channels_to_the_whole_state_in_the_oracle_only(
+        self, capsys, monkeypatch
+    ):
         calls = []
         apply = fidelity.apply_assignment
         monkeypatch.setattr(
@@ -142,9 +144,9 @@ class TestCurve:
             capsys,
         )
         assert code == 0
-        # the formula and the oracle each apply a point's channels once:
-        # two qubits x three points x two evaluators
-        assert len(calls) == 2 * 3 * 2
+        # the oracle applies a point's channel once: two qubits x three points;
+        # the formula runs a lone channel at the witness support alone
+        assert len(calls) == 2 * 3
 
     def test_method_both_multi_qubit_file_matches_recorded_bytes(self, capsys, tmp_path):
         out_file = tmp_path / "both.csv"
@@ -315,6 +317,35 @@ class TestEval:
         assert code == 0
         assert "formula  identity dephasing(0.3)@7: F = 1.000000000000" in out
         assert "oracle   identity dephasing(0.3)@7: F = 1.000000000000" in out
+
+
+@pytest.mark.parametrize("argv", [
+    *(["eval", "--gate", gate, "--channel", f"{name}(0.3)", "--qubit", "1"]
+      for gate in ("identity", "hadamard", "zrot", "cz") for name in ("bitflip", "ampdamp")),
+    ["eval", "--gate", "zrot", "--theta", "0.7", "--channel", "ampdamp(0.3)", "--qubit", "1",
+     "--method", "formula"],
+    ["curve", "--gate", "cz", "--channel", "ampdamp", "--qubit", "a_in,4"],
+    ["curve", "--gate", "zrot", "--theta", "0.7854", "--channel", "ampdamp", "--qubit", "3"],
+    ["scan-immunity", "--gate", "identity"],
+    ["scan-immunity", "--gate", "cz", "--csv"],
+    # dephasing is diagonal, so on every exposed qubit it runs at the support
+    ["compare", "--gate", "hadamard", "--channel", "dephasing", "--protectA", "1,3,5",
+     "--protectB", "1,2,3"],
+], ids=" ".join)
+def test_formula_commands_build_no_dense_state_or_witness(capsys, monkeypatch, argv):
+    # a formula call that runs no channel on the whole state reads the
+    # pristine entries off the cluster vector and the witness off its support
+    from clusterfid import patterns
+
+    built = []
+    for owner, name in ((patterns, "build_cluster_state"),
+                        (patterns.PatternRegistry, "cluster_state"),
+                        (patterns.PatternRegistry, "witness_for")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, name=name, original=original:
+                            built.append(name) or original(*args))
+    code, _, _ = run(argv, capsys)
+    assert code == 0 and built == []
 
 
 class TestValidate:

@@ -198,7 +198,8 @@ def _kraus_at(mat, ops, qubit, n, flat):
     """``apply_kraus_at`` at ``flat`` on the dense ``mat``, grouped by ``block_grouping``."""
     table = kraus_table(ops)
     order, bounds = block_grouping(flat, qubit, n)
-    return apply_kraus_at(FlippedEntries(mat, flat[order], qubit, n), table, (order, bounds))
+    sources = FlippedEntries(mat.reshape(-1).take, flat[order], qubit, n)
+    return apply_kraus_at(sources, table, (order, bounds))
 
 
 class TestApplyKrausAt:
@@ -370,7 +371,7 @@ class TestSignClasses:
         flat = fidelity._support(registry, gate)[0]
         n = registry.pattern_for(gate).graph.num_vertices
         for q in range(n):
-            sources, grouping, expand = sign_classes(clean, flat, q, n)
+            sources, grouping, expand = sign_classes(clean.reshape(-1).take, flat, q, n)
             assert len(grouping[0]) <= 88 and expand.shape == flat.shape
             channels = [family(p) for family in BUILTIN_CHANNELS.values() for p in (0.0, 0.37)]
             channels += [random_channel(rng.normal(size=8 * count)) for count in (1, 2, 3, 4)]
@@ -387,7 +388,7 @@ class TestSignClasses:
         mat.imag = rng.choice([-0.0, 0.0], size=(8, 8))
         flat = np.arange(64)
         for q in range(n):
-            sources, grouping, expand = sign_classes(mat, flat, q, n)
+            sources, grouping, expand = sign_classes(mat.reshape(-1).take, flat, q, n)
             for family in BUILTIN_CHANNELS.values():
                 for p in (0.0, 0.3, 1.0):
                     ops = family(p).operators
@@ -397,9 +398,9 @@ class TestSignClasses:
     def test_a_state_with_other_entries_is_refused(self, rng):
         mat = random_density_matrix(rng, 3)
         with pytest.raises(ValueError, match="sign classes"):
-            sign_classes(mat, np.arange(64), 1, 3)
+            sign_classes(mat.reshape(-1).take, np.arange(64), 1, 3)
         with pytest.raises(ValueError, match="out of range"):
-            sign_classes(mat, np.arange(64), 3, 3)
+            sign_classes(mat.reshape(-1).take, np.arange(64), 3, 3)
 
 
 class TestExpectation:

@@ -479,8 +479,18 @@ def _counting_apply(monkeypatch) -> list:
     return calls
 
 
+def _whole_state_channels(pattern, assignment) -> bool:
+    """Whether the formula runs a channel on the whole state: one below its highest
+    non-diagonal one."""
+    resolved = resolve_assignment(pattern, assignment)
+    mixing = [q for q, ch in resolved.items() if not ch.diagonal]
+    return any(q < max(mixing) for q in resolved) if mixing else False
+
+
 class TestSharedNoisyState:
-    """The evaluators share no noisy state: each applies its own channels."""
+    """The evaluators share no noisy state: the oracle applies its own channels,
+    and the formula applies them to the whole state only below its highest
+    non-diagonal channel."""
 
     @pytest.mark.parametrize("gate, noise, own_registry", [
         (IDENTITY, NOISE, True),
@@ -500,10 +510,11 @@ class TestSharedNoisyState:
         mbqc_oracle(gate, {}, oracle_registry)  # warm branch table
         calls = _counting_apply(monkeypatch)
         fidelity_formula(IDENTITY, NOISE, registry)
+        assert calls == []   # one diagonal channel runs at the support alone
         after = mbqc_oracle(gate, noise, oracle_registry)
-        assert len(calls) == 2
+        assert len(calls) == 1
         alone = mbqc_oracle(gate, noise, oracle_registry)
-        assert len(calls) == 3
+        assert len(calls) == 2
         assert after.raw_value == alone.raw_value
 
     def test_oracle_alone_applies_the_channels(self, registry, monkeypatch):
@@ -519,23 +530,27 @@ class TestSharedNoisyState:
     def test_sharing_changes_no_bit(self, registry, rng, monkeypatch, gate):
         # a formula call between two oracle calls changes no bit of either
         families = list(BUILTIN_CHANNELS.values())
-        labels = registry.pattern_for(gate).labels
+        pattern = registry.pattern_for(gate)
         mbqc_oracle(gate, {}, registry)  # warm branch table
         calls = _counting_apply(monkeypatch)
-        for _ in range(4):
-            chosen = rng.choice(labels, size=int(rng.integers(1, 5)), replace=False)
+        whole_state = []
+        for _ in range(8):
+            chosen = rng.choice(pattern.labels, size=int(rng.integers(1, 5)), replace=False)
             assignment = {
                 str(lab): families[int(rng.integers(len(families)))](float(rng.uniform(0, 1)))
                 for lab in chosen
             }
-            before = len(calls)
             alone = mbqc_oracle(gate, assignment, registry)
+            before = len(calls)
             formula = fidelity_formula(gate, assignment, registry)
+            whole_state.append(_whole_state_channels(pattern, assignment))
+            assert len(calls) - before == whole_state[-1]
             after = mbqc_oracle(gate, assignment, registry)
-            assert len(calls) - before == 3
+            assert len(calls) - before == whole_state[-1] + 1
             assert after.raw_value == alone.raw_value
             assert after.branch_probabilities == alone.branch_probabilities
             assert fidelity_formula(gate, assignment, registry).raw_value == formula.raw_value
+        assert any(whole_state) and not all(whole_state)
 
 
 class TestProperties:

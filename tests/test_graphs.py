@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clusterfid.engine import CapacityError, expectation
+from clusterfid.engine import CapacityError, expectation, outer_entries
 from clusterfid.graphs import (
     Graph,
     PauliString,
     build_cluster_state,
     cluster_state_projector_product,
+    cluster_vector,
     stabilizer,
 )
 from clusterfid.patterns import CONTROLLED_Z, HADAMARD, IDENTITY, default_registry, z_rotation
@@ -325,8 +326,29 @@ def test_stabilizer_expectation_at_its_support_is_bitwise_dense_on_random_graphs
     _assert_stabilizers_read_at_their_support(g)
 
 
+@st.composite
+def _graphs_and_entries(draw):
+    g = draw(_simple_graphs(max_vertices=9))
+    size = 4**g.num_vertices
+    return g, draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=200))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_graphs_and_entries())
+def test_pure_state_gather_is_bitwise_the_outer_product(case):
+    # the formula reads the pristine state off its vector; each entry must be
+    # the outer product's, the signs of its zeros included
+    g, flat = case
+    psi = cluster_vector(g)
+    flat = np.array(flat, dtype=np.intp)
+    dense = np.outer(psi, psi.conj()).reshape(-1)
+    assert outer_entries(psi)(flat).tobytes() == dense[flat].tobytes()
+    assert build_cluster_state(g).tobytes() == dense.tobytes()
+
+
 @pytest.mark.parametrize("gate", [IDENTITY, HADAMARD, z_rotation(0.7), CONTROLLED_Z], ids=str)
 def test_registry_states_and_witnesses_are_read_only(gate):
     registry = default_registry()
     _assert_read_only(registry.cluster_state(gate))
     _assert_read_only(registry.witness_for(gate))
+    assert not registry.cluster_vector(gate).flags.writeable

@@ -23,6 +23,12 @@ from clusterfid.patterns import (
 
 ALL_GATES = [IDENTITY, HADAMARD, z_rotation(0.7), CONTROLLED_Z]
 
+#: The bundled gates, and zrot at 48 angles: the quadrants' edges, negative
+#: ones, 2 pi less a little, a tiny one and 40 seeded draws.
+ZROT_ANGLES = [0.0, np.pi / 2, np.pi, -np.pi / 2, -1.3, 2 * np.pi - 0.05, 1e-9, -7.5,
+               *np.random.default_rng(33).uniform(-2 * np.pi, 2 * np.pi, 40)]
+SUPPORT_GATES = [IDENTITY, HADAMARD, CONTROLLED_Z, *(z_rotation(t) for t in ZROT_ANGLES)]
+
 
 class TestGateKind:
     def test_parse(self):
@@ -81,30 +87,50 @@ class TestWitness:
     def test_noiseless_expectation_is_one(self, registry, gate):
         assert abs(fidelity_formula(gate, None, registry).raw_value - 1.0) <= 1e-10
 
-    def test_validate_builds_each_witness_once_and_no_full_register_pauli_matrix(
+    def test_validate_builds_each_support_once_and_no_dense_witness_or_register_pauli(
         self, monkeypatch, capsys
     ):
         # the noiseless check and the formula-oracle checks share the cached
         # support, and stabilizers and witness factors are read off their words
-        built, matrix_sizes = [], []
-        witness_for, matrix = PatternRegistry.witness_for, PauliString.matrix
+        built, dense, matrix_sizes = [], [], []
+        support, witness_for = PatternRegistry.witness_support, PatternRegistry.witness_for
+        matrix = PauliString.matrix
+
+        def spy_support(registry, gate):
+            built.append(gate.kind)
+            return support(registry, gate)
 
         def spy_witness_for(registry, gate):
-            built.append(gate.kind)
+            dense.append(gate.kind)
             return witness_for(registry, gate)
 
         def spy_matrix(pauli):
             matrix_sizes.append(pauli.num_qubits)
             return matrix(pauli)
 
+        monkeypatch.setattr(PatternRegistry, "witness_support", spy_support)
         monkeypatch.setattr(PatternRegistry, "witness_for", spy_witness_for)
         monkeypatch.setattr(PauliString, "matrix", spy_matrix)
         assert main(["validate"]) == 0
         assert "all checks passed" in capsys.readouterr().out
-        assert sorted(built) == sorted(GATE_KINDS)
+        assert sorted(built) == sorted(GATE_KINDS) and dense == []
         registers = {default_registry().pattern_for(parse_gate(kind)).graph.num_vertices
                      for kind in GATE_KINDS}
         assert matrix_sizes and not registers & set(matrix_sizes)
+
+    @pytest.mark.parametrize("gate", SUPPORT_GATES, ids=str)
+    def test_support_is_bitwise_the_dense_product_of_the_factors(self, registry, gate):
+        # the dense reference: F1 @ (F2 @ (... @ Fm)), zrot's angle factor last
+        factors = list(registry.witness_factors(gate))
+        product = factors.pop()
+        for factor in reversed(factors):
+            product = factor @ product
+        transposed = np.ascontiguousarray(product.T).reshape(-1)
+        flat, values = registry.witness_support(gate)
+        assert np.array_equal(flat, np.flatnonzero(transposed))
+        assert values.tobytes() == transposed[flat].tobytes()
+        assert np.ascontiguousarray(registry.witness_for(gate)).tobytes() == product.tobytes()
+        assert not flat.flags.writeable and not values.flags.writeable
 
     @pytest.mark.parametrize("gate", ALL_GATES, ids=str)
     def test_generators_are_hermitian_involutions_whose_projectors_are_the_factors(
