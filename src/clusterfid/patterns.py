@@ -297,7 +297,7 @@ class PatternRegistry:
         """The read-only witness, ``witness_support`` scattered, built on every call.
 
         It is column-major, so W^T, the operand of ``sum(rho * W^T)``, is read
-        in memory order. No evaluator reads it: it is the tests' dense view.
+        in memory order. No evaluator reads it; the tests, demos and tools do.
         """
         flat, values = self.witness_support(gate)
         dim = 2**self.pattern_for(gate).graph.num_vertices
